@@ -3,10 +3,13 @@
 Construction is a seeded (col_weight, 2*col_weight)-regular edge matching:
 duplicate edges are repaired by stub swaps, several candidates are drawn,
 and the one with the fewest 4-cycles that also keeps the GF(2) rank
-deficiency at most one (rate within 0.01 of one half) wins. The encoder
-comes from the reduced row echelon form of H: free columns carry the
-information bits, pivot columns are parity solved by a dense GF(2)
-back-substitution block.
+deficiency at most one (rate within 0.01 of one half) wins. Candidates stay
+edge lists (the columns of each check) while their 4-cycles are counted;
+a candidate is densified into H only when it reaches the GF(2) rank test,
+so at most one dense candidate is alive at a time. The encoder comes from the
+reduced row echelon form of H: free columns carry the information bits,
+pivot columns are parity solved by a bit-packed GF(2) back-substitution
+block.
 
 LLR sign convention at the API: positive means bit 1 is more likely
 (matching the receiver chain); internally the decoder flips to the usual
@@ -32,20 +35,20 @@ class LdpcConstructionError(RuntimeError):
 
 @dataclass
 class LdpcCode:
-    h: np.ndarray  # (m, n) uint8 parity-check matrix
+    h: np.ndarray  # (m, n) uint8 parity-check matrix, densified from row_cols
     n: int
     k: int
     info_cols: np.ndarray  # (k,) column indices carrying information bits
     pivot_cols: np.ndarray  # (rank,) parity column indices
-    back_sub: np.ndarray  # (rank, k) uint8 parity solver, parity = back_sub @ u mod 2
-    row_cols: np.ndarray  # (m, row_weight) adjacency: columns of each check
-    col_rows: np.ndarray  # (n, col_weight) rows of each variable
+    back_sub: np.ndarray  # (rank, ceil(k/8)) parity solver rows, np.packbits along k
+    row_cols: np.ndarray  # (m, row_weight) ascending columns of each check (primary)
+    col_rows: np.ndarray  # (n, col_weight) ascending rows of each variable
     col_slots: np.ndarray  # (n, col_weight) slot of the variable within row_cols
     four_cycles: int
 
     @property
     def m(self) -> int:
-        return self.h.shape[0]
+        return self.row_cols.shape[0]
 
     @property
     def rate(self) -> float:
@@ -58,9 +61,17 @@ class DecodeResult(NamedTuple):
     iterations: int
 
 
+# PARITY[b] is the XOR of the eight bits of byte b.
+PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8)
+
+
 def _sample_regular_h(n: int, m: int, col_weight: int, row_weight: int,
                       rng: np.random.Generator) -> np.ndarray | None:
-    """Random stub matching; duplicate edges repaired by bounded stub swaps."""
+    """Random stub matching; duplicate edges repaired by bounded stub swaps.
+
+    Returns the (m, row_weight) ascending columns of each check, or None
+    when the swap budget runs out.
+    """
     cols = np.repeat(np.arange(n), col_weight)
     rng.shuffle(cols)
     rows = np.repeat(np.arange(m), row_weight)
@@ -70,9 +81,7 @@ def _sample_regular_h(n: int, m: int, col_weight: int, row_weight: int,
         sorted_key = key[order]
         dup_sorted = np.flatnonzero(sorted_key[1:] == sorted_key[:-1]) + 1
         if dup_sorted.size == 0:
-            h = np.zeros((m, n), dtype=np.uint8)
-            h[rows, cols] = 1
-            return h
+            return (sorted_key % n).reshape(m, row_weight)
         dup_positions = order[dup_sorted]
         swap_with = rng.integers(0, cols.size, size=dup_positions.size)
         for p, q in zip(dup_positions, swap_with):
@@ -80,21 +89,10 @@ def _sample_regular_h(n: int, m: int, col_weight: int, row_weight: int,
     return None
 
 
-def _count_four_cycles(h: np.ndarray) -> int:
+def _count_four_cycles(row_cols: np.ndarray, n: int) -> int:
     """4-cycles = column pairs shared by more than one check."""
-    m, n = h.shape
-    row_sums = h.sum(axis=1)
-    if (row_sums == row_sums[0]).all():
-        cols = np.nonzero(h)[1].reshape(m, row_sums[0]).astype(np.int64)
-        ii, jj = np.triu_indices(row_sums[0], k=1)
-        codes = (cols[:, ii] * n + cols[:, jj]).ravel()
-    else:
-        pair_codes = []
-        for r in range(m):
-            row = np.flatnonzero(h[r]).astype(np.int64)
-            for i in range(len(row) - 1):
-                pair_codes.append(row[i] * n + row[i + 1 :])
-        codes = np.concatenate(pair_codes)
+    ii, jj = np.triu_indices(row_cols.shape[1], k=1)
+    codes = (row_cols[:, ii] * n + row_cols[:, jj]).ravel()
     counts = np.unique(codes, return_counts=True)[1]
     return int((counts * (counts - 1) // 2).sum())
 
@@ -137,40 +135,36 @@ def construct(n: int, col_weight: int = 3, seed: int = 0, tries: int = 60) -> Ld
     rng = np.random.default_rng(seed)
     candidates = []
     for _ in range(tries):
-        h = _sample_regular_h(n, m, col_weight, row_weight, rng)
-        if h is not None:
-            candidates.append((_count_four_cycles(h), h))
+        row_cols = _sample_regular_h(n, m, col_weight, row_weight, rng)
+        if row_cols is not None:
+            candidates.append((_count_four_cycles(row_cols, n), row_cols))
     candidates.sort(key=lambda pair: pair[0])
-    for cycles, h in candidates:
+    for cycles, row_cols in candidates:
+        h = np.zeros((m, n), dtype=np.uint8)
+        h[np.arange(m)[:, None], row_cols] = 1
         rref, pivots = _gf2_rref(h)
         rank = len(pivots)
         k = n - rank
         if m - rank > 1 or abs(k / n - RATE_TARGET) > RATE_TOLERANCE:
             continue
-        return _assemble(h, rref, pivots, cycles, row_weight, col_weight)
+        return _assemble(h, rref, pivots, cycles, row_cols, col_weight)
     raise LdpcConstructionError(
         f"no valid ({col_weight},{row_weight})-regular matrix for n={n} in {tries} tries")
 
 
 def _assemble(h: np.ndarray, rref: np.ndarray, pivots: list[int], cycles: int,
-              row_weight: int, col_weight: int) -> LdpcCode:
-    m, n = h.shape
+              row_cols: np.ndarray, col_weight: int) -> LdpcCode:
+    n = h.shape[1]
+    row_weight = row_cols.shape[1]
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
     info_cols = np.setdiff1d(np.arange(n), pivot_cols)
-    back_sub = rref[:rank][:, info_cols].astype(np.uint8)
+    back_sub = np.packbits(np.take(rref[:rank], info_cols, axis=1), axis=1)
 
-    edge_rows, edge_cols = np.nonzero(h)  # row-major scan: ascending (row, col)
-    row_cols = edge_cols.reshape(m, row_weight).astype(np.int64)
-    col_rows = np.empty((n, col_weight), dtype=np.int64)
-    col_slots = np.empty((n, col_weight), dtype=np.int64)
-    fill = np.zeros(n, dtype=np.int64)
-    for r in range(m):
-        for s, c in enumerate(row_cols[r]):
-            col_rows[c, fill[c]] = r
-            col_slots[c, fill[c]] = s
-            fill[c] += 1
-    assert (fill == col_weight).all()
+    # A stable sort of the row-major edge list by column lists each
+    # column's edges in ascending row order.
+    order = np.argsort(row_cols.ravel(), kind="stable").reshape(n, col_weight)
+    col_rows, col_slots = order // row_weight, order % row_weight
     return LdpcCode(h=h, n=n, k=n - rank, info_cols=info_cols, pivot_cols=pivot_cols,
                     back_sub=back_sub, row_cols=row_cols, col_rows=col_rows,
                     col_slots=col_slots, four_cycles=cycles)
@@ -183,7 +177,7 @@ def encode(code: LdpcCode, info_bits: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {code.k} information bits, got shape {u.shape}")
     c = np.zeros(code.n, dtype=np.uint8)
     c[code.info_cols] = u
-    c[code.pivot_cols] = (code.back_sub @ u.astype(np.int64)) % 2
+    c[code.pivot_cols] = PARITY[np.bitwise_xor.reduce(code.back_sub & np.packbits(u), axis=1)]
     return c
 
 
@@ -235,26 +229,12 @@ def decode_info(code: LdpcCode, llr: np.ndarray, max_iter: int = DEFAULT_MAX_ITE
     return decode(code, llr, max_iter).bits[code.info_cols]
 
 
-def bler(decoded_info: np.ndarray, reference_info: np.ndarray) -> float:
-    """Fraction of blocks with at least one information-bit error."""
-    decoded_info = np.atleast_2d(decoded_info)
-    reference_info = np.atleast_2d(reference_info)
-    if decoded_info.shape != reference_info.shape:
-        raise ValueError(f"block shapes differ: {decoded_info.shape} vs {reference_info.shape}")
-    errors = (decoded_info != reference_info).any(axis=1)
-    return float(errors.mean())
-
-
 def to_alist(code: LdpcCode) -> str:
     """Standard alist text for the parity-check matrix (1-based indices)."""
-    m, n = code.h.shape
-    col_deg = code.h.sum(axis=0)
-    row_deg = code.h.sum(axis=1)
-    lines = [f"{n} {m}", f"{col_deg.max()} {row_deg.max()}"]
-    lines.append(" ".join(str(d) for d in col_deg))
-    lines.append(" ".join(str(d) for d in row_deg))
-    for c in range(n):
-        lines.append(" ".join(str(r + 1) for r in np.flatnonzero(code.h[:, c])))
-    for r in range(m):
-        lines.append(" ".join(str(c + 1) for c in np.flatnonzero(code.h[r])))
+    n, col_weight = code.col_rows.shape
+    m, row_weight = code.row_cols.shape
+    lines = [f"{n} {m}", f"{col_weight} {row_weight}",
+             " ".join([str(col_weight)] * n), " ".join([str(row_weight)] * m)]
+    lines += [" ".join(map(str, rows)) for rows in (code.col_rows + 1).tolist()]
+    lines += [" ".join(map(str, cols)) for cols in (code.row_cols + 1).tolist()]
     return "\n".join(lines) + "\n"
