@@ -295,23 +295,6 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     return _record(out, tuple(tensors), grad_fn)
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= x.shape[axis]):
-        raise DimensionError(f"slice [{start}:{stop}] invalid for axis {axis} of {x.shape}")
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
-    out = Tensor(x.data[index])
-    xshape = x.shape
-
-    def grad_fn(g):
-        full = np.zeros(xshape)
-        full[index] = g
-        return (full,)
-
-    return _record(out, (x,), grad_fn)
-
-
 def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.ndim)))
@@ -344,18 +327,33 @@ def mean_all(x: Tensor) -> Tensor:
 # neural-network primitives
 
 
-def softmax(x: Tensor, axis: int) -> Tensor:
-    """Max-stabilized softmax; each slice along `axis` sums to one."""
+def softmax(x: Tensor, axis: int, scale: float | None = None) -> Tensor:
+    """Max-stabilized softmax of scale*x; each slice along `axis` sums to one.
+
+    One tape node and one score-sized buffer each way. With `scale=c` the
+    in-place steps are the IEEE operations of `softmax(scale(x, c), axis)`
+    in the same order, so values and gradients are bitwise those of the
+    two-op composition, and so is the FLOP charge: one per element for the
+    scale plus four for the softmax.
+    """
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    flopcount.add(4 * x.size)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    flopcount.add((4 if scale is None else 5) * x.size)
+    c = 1.0 if scale is None else float(scale)
+    y = x.data * c
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def grad_fn(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+        gx = g * y
+        s = gx.sum(axis=axis, keepdims=True)
+        np.subtract(g, s, out=gx)
+        gx *= y
+        if scale is not None:
+            gx *= c
+        return (gx,)
 
     return _record(out, (x,), grad_fn)
 

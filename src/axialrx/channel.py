@@ -12,7 +12,6 @@ no LOS/K-factor path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,23 +102,3 @@ def generate(profile: TdlProfile, t: int, f: int, n_rx: int,
     weighted = gains * np.sqrt(powers)[:, None, None]
     h = np.einsum("lrt,fl->tfr", weighted, steering)
     return ChannelRealization(h=h, profile=profile, seed=seed)
-
-
-@dataclass(frozen=True)
-class CoherenceSummary:
-    doppler_hz: float
-    coherence_time_s: float
-    coherence_bandwidth_hz: float
-    rms_delay_spread_s: float
-
-
-def coherence_check(profile: TdlProfile) -> CoherenceSummary:
-    """Rule-of-thumb coherence figures for interpreting mobility tiers."""
-    fd = profile.doppler_hz
-    ds = profile.rms_delay_spread_s
-    return CoherenceSummary(
-        doppler_hz=fd,
-        coherence_time_s=0.423 / fd if fd > 0 else math.inf,
-        coherence_bandwidth_hz=1.0 / (5.0 * ds) if ds > 0 else math.inf,
-        rms_delay_spread_s=ds,
-    )

@@ -8,7 +8,10 @@ one FLOP per output element, sigmoid and softmax four, layer norm eight.
 Data movement (reshape, transpose, concatenation, slicing) is free.
 
 The "attention core" is only the two products Q K^T and A V; the 1/sqrt(d_h)
-scaling, softmax, and projections are accounted separately. Under that
+scaling, softmax, and projections are accounted separately. The scaling
+runs inside the softmax op (`autodiff.softmax(..., scale=...)`), which
+still charges it one FLOP per score, so the softmax stage costs five FLOPs
+per score (the 5*H*L*L terms below). Under that
 convention the core cost is exactly 4*(TF)^2*D for global attention and
 4*T*F*D*(T+F) for one axial block, so their ratio is exactly TF/(T+F).
 

@@ -7,16 +7,17 @@ follow one fixed convention (multiply-accumulate = 2 FLOPs, see
 counts can be compared against analytic formulas exactly.
 
 Counts are kept per named bucket. Code wraps regions of interest with
-``counter.bucket("name")``; anything outside an explicit bucket lands in
-"other".
+``flopcount.bucket("name")``, which is a shared no-op context when no
+counter is active; anything outside an explicit bucket lands in "other".
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 _state = threading.local()
+_INACTIVE = nullcontext()
 
 
 def _stack() -> list:
@@ -58,10 +59,6 @@ class FlopCounter:
         self.total += n
         self.buckets[self._bucket] = self.buckets.get(self._bucket, 0) + n
 
-    def bucket_total(self, prefix: str) -> int:
-        """Sum of all buckets whose name starts with `prefix`."""
-        return sum(v for k, v in self.buckets.items() if k.startswith(prefix))
-
 
 def add(n: int) -> None:
     """Report `n` FLOPs to the innermost active counter, if any."""
@@ -73,3 +70,9 @@ def add(n: int) -> None:
 def active() -> FlopCounter | None:
     stack = _stack()
     return stack[-1] if stack else None
+
+
+def bucket(name: str):
+    """The active counter's `bucket(name)`, or a no-op context without one."""
+    counter = active()
+    return _INACTIVE if counter is None else counter.bucket(name)

@@ -31,7 +31,6 @@ from .autodiff import (
     matmul,
     relu,
     reshape,
-    scale,
     softmax,
     transpose,
 )
@@ -115,7 +114,9 @@ def attend(x: Tensor, w: AttentionWeights, bucket: str = "attn") -> Tensor:
 
     x: (S, L, D) of S sequences. Scores Q K^T / sqrt(d_h) are softmaxed per
     row and applied to V per head; heads are concatenated and projected by
-    wo. The two core matrix products are counted under `<bucket>_core`.
+    wo. The 1/sqrt(d_h) scale runs inside the softmax (one score-sized
+    buffer instead of four) and is still charged one FLOP per score. The
+    two core matrix products are counted under `<bucket>_core`.
     """
     s, length, d = x.shape
     h, dh = w.heads, w.head_dim
@@ -128,17 +129,10 @@ def attend(x: Tensor, w: AttentionWeights, bucket: str = "attn") -> Tensor:
     q = split_heads(matmul(x2, w.wq))
     k = split_heads(matmul(x2, w.wk))
     v = split_heads(matmul(x2, w.wv))
-    counter = flopcount.active()
-    if counter is not None:
-        with counter.bucket(bucket + "_core"):
-            scores = bmm(q, transpose(k, (0, 2, 1)))
-    else:
+    with flopcount.bucket(bucket + "_core"):
         scores = bmm(q, transpose(k, (0, 2, 1)))
-    attn = softmax(scale(scores, 1.0 / math.sqrt(dh)), axis=-1)
-    if counter is not None:
-        with counter.bucket(bucket + "_core"):
-            mixed = bmm(attn, v)
-    else:
+    attn = softmax(scores, axis=-1, scale=1.0 / math.sqrt(dh))
+    with flopcount.bucket(bucket + "_core"):
         mixed = bmm(attn, v)
     merged = reshape(transpose(reshape(mixed, (s, h, length, dh)), (0, 2, 1, 3)), (s * length, d))
     return reshape(matmul(merged, w.wo), (s, length, d))
@@ -307,25 +301,17 @@ class Receiver:
         if y.shape != (self.cfg.t, self.cfg.f, self.cfg.n_rx):
             raise ValueError(f"grid shape {y.shape} does not match configured "
                              f"({self.cfg.t}, {self.cfg.f}, {self.cfg.n_rx})")
-        counter = flopcount.active()
-
-        def staged(name, fn, *args):
-            if counter is None:
-                return fn(*args)
-            with counter.bucket(name):
-                return fn(*args)
-
-        x = staged("input_conv", self.input_conv, input_features(y, n0))
+        with flopcount.bucket("input_conv"):
+            x = self.input_conv(input_features(y, n0))
         if self.pos is not None:
-            x = staged("pos", lambda a: a + self.pos, x)
+            with flopcount.bucket("pos"):
+                x = x + self.pos
         for i, block in enumerate(self.blocks):
             name = f"block{i:02d}"
-            if counter is None:
+            with flopcount.bucket(name):
                 x = block(x, bucket=name)
-            else:
-                with counter.bucket(name):
-                    x = block(x, bucket=name)
-        return staged("output_conv", self.output_conv, x)
+        with flopcount.bucket("output_conv"):
+            return self.output_conv(x)
 
     __call__ = forward
 

@@ -5,11 +5,11 @@ duplicate edges are repaired by stub swaps, several candidates are drawn,
 and the one with the fewest 4-cycles that also keeps the GF(2) rank
 deficiency at most one (rate within 0.01 of one half) wins. Candidates stay
 edge lists (the columns of each check) while their 4-cycles are counted;
-a candidate is densified into H only when it reaches the GF(2) rank test,
-so at most one dense candidate is alive at a time. The encoder comes from the
-reduced row echelon form of H: free columns carry the information bits,
-pivot columns are parity solved by a bit-packed GF(2) back-substitution
-block.
+a candidate is densified into H only for the GF(2) rank test, so at most
+one dense candidate is alive at a time and the code keeps none. The encoder
+comes from the reduced row echelon form of H: free columns carry the
+information bits, pivot columns are parity solved by a bit-packed GF(2)
+back-substitution block.
 
 LLR sign convention at the API: positive means bit 1 is more likely
 (matching the receiver chain); internally the decoder flips to the usual
@@ -35,7 +35,6 @@ class LdpcConstructionError(RuntimeError):
 
 @dataclass
 class LdpcCode:
-    h: np.ndarray  # (m, n) uint8 parity-check matrix, densified from row_cols
     n: int
     k: int
     info_cols: np.ndarray  # (k,) column indices carrying information bits
@@ -147,14 +146,13 @@ def construct(n: int, col_weight: int = 3, seed: int = 0, tries: int = 60) -> Ld
         k = n - rank
         if m - rank > 1 or abs(k / n - RATE_TARGET) > RATE_TOLERANCE:
             continue
-        return _assemble(h, rref, pivots, cycles, row_cols, col_weight)
+        return _assemble(n, rref, pivots, cycles, row_cols, col_weight)
     raise LdpcConstructionError(
         f"no valid ({col_weight},{row_weight})-regular matrix for n={n} in {tries} tries")
 
 
-def _assemble(h: np.ndarray, rref: np.ndarray, pivots: list[int], cycles: int,
+def _assemble(n: int, rref: np.ndarray, pivots: list[int], cycles: int,
               row_cols: np.ndarray, col_weight: int) -> LdpcCode:
-    n = h.shape[1]
     row_weight = row_cols.shape[1]
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
@@ -165,7 +163,7 @@ def _assemble(h: np.ndarray, rref: np.ndarray, pivots: list[int], cycles: int,
     # column's edges in ascending row order.
     order = np.argsort(row_cols.ravel(), kind="stable").reshape(n, col_weight)
     col_rows, col_slots = order // row_weight, order % row_weight
-    return LdpcCode(h=h, n=n, k=n - rank, info_cols=info_cols, pivot_cols=pivot_cols,
+    return LdpcCode(n=n, k=n - rank, info_cols=info_cols, pivot_cols=pivot_cols,
                     back_sub=back_sub, row_cols=row_cols, col_rows=col_rows,
                     col_slots=col_slots, four_cycles=cycles)
 

@@ -202,18 +202,3 @@ def make_grid(codeword: np.ndarray, cfg: LinkConfig, h: np.ndarray, n0: float,
         pilot_mask=mask,
         n0=n0,
     )
-
-
-def dump_grid_csv(grid: ResourceGrid, path: str, sample_id: int, seed: int,
-                  config_hash: str) -> None:
-    """Optional dataset dump: one row per (t, f, rx) plus a sidecar metadata file."""
-    t, f, n_rx = grid.y.shape
-    with open(path, "w") as fh:
-        fh.write("sample_id,t,f,rx,re_y,im_y\n")
-        for ti in range(t):
-            for fi in range(f):
-                for r in range(n_rx):
-                    v = grid.y[ti, fi, r]
-                    fh.write(f"{sample_id},{ti},{fi},{r},{float(v.real)!r},{float(v.imag)!r}\n")
-    with open(path + ".meta", "w") as fh:
-        fh.write(f"seed={seed}\nconfig_hash={config_hash}\nn0={float(grid.n0)!r}\n")

@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, dense LDPC H."""
 
 from __future__ import annotations
 
@@ -51,3 +51,10 @@ def gradcheck(build_loss, leaves, step=FD_STEP, tol=FD_TOL):
 
 def rand_tensor(rng: np.random.Generator, shape, requires_grad=True, scale=1.0) -> Tensor:
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+
+
+def dense_h(code) -> np.ndarray:
+    """(m, n) uint8 parity-check matrix of an `LdpcCode`, built from `row_cols`."""
+    h = np.zeros((code.m, code.n), dtype=np.uint8)
+    h[np.arange(code.m)[:, None], code.row_cols] = 1
+    return h

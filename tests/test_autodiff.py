@@ -20,11 +20,11 @@ from axialrx.autodiff import (
     reshape,
     scale,
     sigmoid,
-    slice_axis,
     softmax,
     sum_all,
     transpose,
 )
+from axialrx.flopcount import FlopCounter
 from helpers import gradcheck, rand_tensor
 
 
@@ -126,6 +126,53 @@ class TestSoftmax:
     def test_invalid_axis(self):
         with pytest.raises(DimensionError):
             softmax(Tensor([1.0, 2.0]), axis=3)
+
+
+# Attention score shapes (S*H, L, L) for T=14, F=8, H=2: time, freq, global.
+SCORE_SHAPES = [(16, 14, 14), (28, 8, 8), (2, 112, 112)]
+
+
+class TestScaledSoftmax:
+    """softmax(x, axis, scale=c) against the two-op reference softmax(scale(x, c), axis)."""
+
+    @staticmethod
+    def forward_and_grad(build, x, w):
+        with Tape() as tape:
+            out = build(x)
+            loss = sum_all(out * w)
+        return out.data, backward(loss, tape, leaves=[x])[x], len(tape.nodes)
+
+    @pytest.mark.parametrize("shape", SCORE_SHAPES)
+    @pytest.mark.parametrize("c", [1.0 / np.sqrt(3.0), 1.0])
+    def test_bitwise_equal_to_composition(self, shape, c):
+        rng = np.random.default_rng(31)
+        x = rand_tensor(rng, shape, scale=4.0)
+        w = Tensor(rng.standard_normal(shape))
+        fused, fused_grad, fused_nodes = self.forward_and_grad(
+            lambda t: softmax(t, axis=-1, scale=c), x, w)
+        ref, ref_grad, ref_nodes = self.forward_and_grad(
+            lambda t: softmax(scale(t, c), axis=-1), x, w)
+        np.testing.assert_array_equal(fused, ref)
+        np.testing.assert_array_equal(fused_grad, ref_grad)
+        assert fused_nodes == ref_nodes - 1
+
+    def test_gradient(self):
+        rng = np.random.default_rng(32)
+        x = rand_tensor(rng, (3, 5))
+        w = rand_tensor(rng, (3, 5))
+        gradcheck(lambda: sum_all(softmax(x, axis=1, scale=0.37) * w), [x])
+
+    def test_flop_count(self):
+        x = Tensor(np.zeros((2, 3, 4)))
+        for c in (0.25, 1.0):
+            with FlopCounter() as fused:
+                softmax(x, axis=-1, scale=c)
+            with FlopCounter() as ref:
+                softmax(scale(x, c), axis=-1)
+            assert fused.total == ref.total == 5 * x.size
+        with FlopCounter() as unscaled:
+            softmax(x, axis=-1)
+        assert unscaled.total == 4 * x.size
 
 
 class TestLayerNorm:
@@ -277,11 +324,6 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             Tensor(np.zeros(3)) * Tensor(np.zeros((3, 1)))
 
-    def test_slice_axis(self):
-        x = Tensor(np.arange(12.0).reshape(3, 4))
-        out = slice_axis(x, axis=1, start=1, stop=3)
-        np.testing.assert_array_equal(out.data, x.data[:, 1:3])
-
     def test_bias_add_broadcasts_last_axis_only(self):
         x = Tensor(np.zeros((2, 3)))
         out = bias_add(x, Tensor([1.0, 2.0, 3.0]))
@@ -348,7 +390,6 @@ class TestGradientSoundness:
         b = rand_tensor(rng, (2, 2))
         bias = rand_tensor(rng, (3,))
         gradcheck(lambda: sum_all(concat([a, b], axis=1) * concat([a, b], axis=1)), [a, b])
-        gradcheck(lambda: sum_all(slice_axis(a, 1, 0, 2) * b), [a])
         gradcheck(lambda: sum_all(transpose(a) * transpose(a)), [a])
         gradcheck(lambda: sum_all(reshape(a, (3, 2)) * reshape(a, (3, 2))), [a])
         gradcheck(lambda: sum_all(bias_add(a, bias) * bias_add(a, bias)), [a, bias])

@@ -1,6 +1,4 @@
-"""Tapped-delay-line channel: fading statistics, determinism, coherence."""
-
-import math
+"""Tapped-delay-line channel: fading statistics, determinism, Doppler tiers."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from scipy.special import j0
 from axialrx.channel import (
     VELOCITY_TIERS,
     TdlProfile,
-    coherence_check,
     doppler_hz,
     generate,
 )
@@ -115,16 +112,6 @@ class TestGenerate:
 class TestCoherence:
     def test_doppler_at_40mps(self):
         assert doppler_hz(40.0, 3.5e9) == pytest.approx(466.6666666666667, rel=1e-12)
-
-    def test_static_channel_has_infinite_coherence_time(self):
-        p = TdlProfile.make(50e-9, velocity_mps=0.0)
-        summary = coherence_check(p)
-        assert summary.doppler_hz == 0.0
-        assert math.isinf(summary.coherence_time_s)
-
-    def test_coherence_bandwidth(self):
-        p = TdlProfile.make(100e-9, velocity_mps=10.0)
-        assert coherence_check(p).coherence_bandwidth_hz == pytest.approx(2e6, rel=1e-12)
 
     def test_velocity_tiers_cover_spec_ranges(self):
         assert VELOCITY_TIERS["tdl-lo"] == (0.0, 5.1)

@@ -71,6 +71,12 @@ class TestModelReport:
         assert report.counted_layers == report.analytic_layers
         assert report.counted_total == report.analytic_total
 
+    @pytest.mark.parametrize("variant", ["axial", "global"])
+    def test_counted_equals_analytic_with_unit_head_dim(self, variant):
+        # 1/sqrt(d_h) = 1 must still be charged as a scale
+        report = model_report(small_cfg(variant, heads=8), seed=0, instrumented=True)
+        assert report.counted_layers == report.analytic_layers
+
     def test_instrumented_attention_matches_formula_random_configs(self):
         rng = np.random.default_rng(1)
         for _ in range(5):

@@ -402,8 +402,8 @@ class TestEndToEndGradients:
         captured = []
         original = autodiff.softmax
 
-        def spy(x, axis):
-            out = original(x, axis)
+        def spy(x, axis, scale=None):
+            out = original(x, axis, scale=scale)
             captured.append(out.data)
             return out
 

@@ -207,23 +207,3 @@ class TestMakeGrid:
         pilots = PilotPattern.make((2, 20), 8, seed=0)
         with pytest.raises(ValueError):
             pilots.mask(14, 8)
-
-
-class TestDump:
-    def test_grid_dump_with_sidecar(self, tmp_path):
-        from axialrx.phy import dump_grid_csv
-
-        cfg = desk_cfg(f=4)
-        rng = np.random.default_rng(10)
-        bits = rng.integers(0, 2, cfg.n_coded_bits)
-        grid = make_grid(bits, cfg, np.ones((14, 4, 1), dtype=complex), 0.5, rng)
-        path = tmp_path / "grid.csv"
-        dump_grid_csv(grid, str(path), sample_id=3, seed=42, config_hash="abc123")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "sample_id,t,f,rx,re_y,im_y"
-        assert len(lines) == 1 + 14 * 4 * 1
-        sample_id, t, f, rx, re_y, im_y = lines[1].split(",")
-        assert (sample_id, t, f, rx) == ("3", "0", "0", "0")
-        assert complex(float(re_y), float(im_y)) == grid.y[0, 0, 0]
-        meta = (tmp_path / "grid.csv.meta").read_text()
-        assert "seed=42" in meta and "config_hash=abc123" in meta and "n0=0.5" in meta
