@@ -98,11 +98,14 @@ class Tape:
     """Append-only record of operations for one forward pass.
 
     Nodes are appended in execution order, which is a topological order by
-    construction; `backward` visits them exactly once in reverse.
+    construction; `backward` visits them exactly once in reverse. Recorded
+    outputs point at the tape's `token`, not at the tape, so tape -> node ->
+    output -> tape is no reference cycle and a dropped tape is freed at once.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.token = object()
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -118,9 +121,9 @@ def _record(output: Tensor, inputs: tuple, grad_fn: Callable) -> Tensor:
     stack = _tape_stack()
     if stack:
         tape = stack[-1]
-        if any(t.requires_grad or t._src_tape is tape for t in inputs):
+        if any(t.requires_grad or t._src_tape is tape.token for t in inputs):
             tape.nodes.append(Node(inputs, output, grad_fn))
-            output._src_tape = tape
+            output._src_tape = tape.token
     return output
 
 
@@ -130,20 +133,24 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] | None = None) -
     Returns a map Tensor -> float64 gradient array. With `leaves` given,
     the map contains exactly those tensors, with zeros for any leaf the
     recorded graph never touched; otherwise it contains every
-    requires_grad tensor reached from the loss.
+    requires_grad tensor reached from the loss. An intermediate gradient
+    is dropped as soon as its producing node has consumed it.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    leaves = None if leaves is None else list(leaves)
+    kept = set(leaves or ())
     for node in reversed(tape.nodes):
-        gout = grads.get(node.output)
+        out = node.output
+        gout = grads.get(out) if out.requires_grad or out in kept else grads.pop(out, None)
         if gout is None:
             continue
         gins = node.grad_fn(gout)
         for inp, gin in zip(node.inputs, gins):
             if gin is None:
                 continue
-            if inp.requires_grad or inp._src_tape is tape:
+            if inp.requires_grad or inp._src_tape is tape.token:
                 held = grads.get(inp)
                 grads[inp] = gin if held is None else held + gin
     if leaves is not None:
@@ -293,6 +300,20 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
 
     return _record(out, tuple(tensors), grad_fn)
+
+
+def slice_(x: Tensor, key) -> Tensor:
+    """Basic slice x[key] (ints and slices only); the gradient scatters back
+    into zeros of x's shape."""
+    out = Tensor(x.data[key])
+    xshape = x.shape
+
+    def grad_fn(g):
+        gx = np.zeros(xshape)
+        gx[key] = g
+        return (gx,)
+
+    return _record(out, (x,), grad_fn)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:

@@ -270,9 +270,18 @@ def cmd_eval(args, config: dict[str, dict]) -> int:
     from .trainer import (EvalConfig, evaluate, lmmse_receiver, neural_receiver,
                           perfect_csi_receiver)
 
+    seed = config["eval"]["seed"]
+    try:
+        eval_cfg = EvalConfig(snr_points_db=tuple(config["eval"]["snr_points_db"]),
+                              tiers=tuple(config["eval"]["tiers"]),
+                              max_blocks=config["eval"]["max_blocks"],
+                              target_errors=config["eval"]["target_errors"],
+                              seed=seed,
+                              threads=args.threads)
+    except ValueError as err:
+        raise ConfigError(f"[eval] {err}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = config["eval"]["seed"]
     link = link_from_config(config)
     sim = _build_simulator(config)
     receivers = {
@@ -287,12 +296,6 @@ def cmd_eval(args, config: dict[str, dict]) -> int:
         except ValueError as err:
             raise ConfigError(f"checkpoint {path} does not match the configured model: {err}")
         receivers[Path(path).stem] = neural_receiver(model)
-    eval_cfg = EvalConfig(snr_points_db=tuple(config["eval"]["snr_points_db"]),
-                          tiers=tuple(config["eval"]["tiers"]),
-                          max_blocks=config["eval"]["max_blocks"],
-                          target_errors=config["eval"]["target_errors"],
-                          seed=seed,
-                          threads=args.threads)
     points = evaluate(receivers, sim, eval_cfg)
     _write_csv(out / "eval_results.csv", config, seed,
                ["receiver", "snr_db", "velocity_tier", "blocks", "errors", "bler", "halfwidth"],

@@ -15,6 +15,12 @@ per score (the 5*H*L*L terms below). Under that
 convention the core cost is exactly 4*(TF)^2*D for global attention and
 4*T*F*D*(T+F) for one axial block, so their ratio is exactly TF/(T+F).
 
+`layers.attend` runs the core in cache-sized chunks (groups of whole
+sequences, or blocks of query rows of one sequence). Chunking moves no
+FLOP: each chunk charges its two products to the `<bucket>_core` bucket
+and its softmax to the enclosing block, and the chunks partition the
+score matrix, so the instrumented counts equal these formulas unchanged.
+
 Table-level GFLOP/parameter values published for these architectures are
 not reproducible without the unpublished hyperparameters; orderings and
 ratios are the verifiable quantities.

@@ -26,16 +26,22 @@ from .autodiff import (
     Tensor,
     bias_add,
     bmm,
+    concat,
     conv2d,
     layer_norm,
     matmul,
     relu,
     reshape,
+    slice_,
     softmax,
     transpose,
 )
 
 VARIANTS = ("axial", "global", "cnn-resnet")
+
+# Cap on the scores one attention-core chunk holds: 2**16 float64 scores
+# (512 KB) keep a chunk's score block in L2 through bmm, softmax and bmm.
+CORE_CHUNK_SCORES = 1 << 16
 
 
 @dataclass
@@ -114,26 +120,53 @@ def attend(x: Tensor, w: AttentionWeights, bucket: str = "attn") -> Tensor:
 
     x: (S, L, D) of S sequences. Scores Q K^T / sqrt(d_h) are softmaxed per
     row and applied to V per head; heads are concatenated and projected by
-    wo. The 1/sqrt(d_h) scale runs inside the softmax (one score-sized
-    buffer instead of four) and is still charged one FLOP per score. The
-    two core matrix products are counted under `<bucket>_core`.
+    wo. The 1/sqrt(d_h) scale runs inside the softmax and is still charged
+    one FLOP per score.
+
+    The core bmm -> softmax -> bmm runs in chunks of at most
+    CORE_CHUNK_SCORES scores, so each chunk's score block stays in cache:
+    whole sequences are grouped while L*L fits under the cap, otherwise
+    each sequence's query rows are split into blocks. Every chunk charges
+    its two products to `<bucket>_core` and its softmax (five FLOPs per
+    score) to the enclosing bucket, so the per-chunk counts sum to those of
+    one unchunked core. When one chunk covers the call (every desk-dims
+    axial call), no slice or concat is recorded.
     """
     s, length, d = x.shape
     h, dh = w.heads, w.head_dim
+    n = s * h
+    c = 1.0 / math.sqrt(dh)
 
     def split_heads(flat: Tensor) -> Tensor:
         grouped = reshape(flat, (s, length, h, dh))
-        return reshape(transpose(grouped, (0, 2, 1, 3)), (s * h, length, dh))
+        return reshape(transpose(grouped, (0, 2, 1, 3)), (n, length, dh))
+
+    def core(qc: Tensor, ktc: Tensor, vc: Tensor) -> Tensor:
+        with flopcount.bucket(bucket + "_core"):
+            scores = bmm(qc, ktc)
+        attn = softmax(scores, axis=-1, scale=c)
+        with flopcount.bucket(bucket + "_core"):
+            return bmm(attn, vc)
 
     x2 = reshape(x, (s * length, d))
     q = split_heads(matmul(x2, w.wq))
     k = split_heads(matmul(x2, w.wk))
     v = split_heads(matmul(x2, w.wv))
-    with flopcount.bucket(bucket + "_core"):
-        scores = bmm(q, transpose(k, (0, 2, 1)))
-    attn = softmax(scores, axis=-1, scale=1.0 / math.sqrt(dh))
-    with flopcount.bucket(bucket + "_core"):
-        mixed = bmm(attn, v)
+    kt = transpose(k, (0, 2, 1))
+    group = CORE_CHUNK_SCORES // (length * length)
+    if group >= n:
+        mixed = core(q, kt, v)
+    elif group >= 1:
+        mixed = concat([core(*(slice_(t, np.s_[i:i + group]) for t in (q, kt, v)))
+                        for i in range(0, n, group)], axis=0)
+    else:
+        rows = max(1, CORE_CHUNK_SCORES // length)
+        pieces = []
+        for j in range(n):
+            ktj, vj = slice_(kt, np.s_[j:j + 1]), slice_(v, np.s_[j:j + 1])
+            pieces += [core(slice_(q, np.s_[j:j + 1, r:r + rows]), ktj, vj)
+                       for r in range(0, length, rows)]
+        mixed = reshape(concat(pieces, axis=1), (n, length, dh))
     merged = reshape(transpose(reshape(mixed, (s, h, length, dh)), (0, 2, 1, 3)), (s * length, d))
     return reshape(matmul(merged, w.wo), (s, length, d))
 

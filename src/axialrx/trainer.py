@@ -66,6 +66,12 @@ class EvalConfig:
     threads: int = 1
     chunk_blocks: int = 32  # fixed early-stop granularity, thread-count independent
 
+    def __post_init__(self):
+        if self.max_blocks < 1:
+            raise ValueError(f"max_blocks must be >= 1, got {self.max_blocks}")
+        if self.chunk_blocks < 1:
+            raise ValueError(f"chunk_blocks must be >= 1, got {self.chunk_blocks}")
+
 
 @dataclass
 class EvalPoint:

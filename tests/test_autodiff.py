@@ -1,5 +1,9 @@
 """Numeric core: forward oracles, gradient soundness, algebraic invariants."""
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -396,6 +400,37 @@ class TestGradientSoundness:
 
 
 class TestTapeBehavior:
+    def test_dropped_tape_is_freed_without_the_cycle_collector(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = sum_all(softmax(x * x, axis=0))
+            backward(loss, tape)
+            assert len(tape.nodes) == 3
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_backward_frees_intermediate_gradients(self):
+        """A chain of 30 ops holds O(1), not O(30), gradient buffers at once."""
+        x = Tensor(np.ones(100_000), requires_grad=True)
+        with Tape() as tape:
+            h = x
+            for _ in range(30):
+                h = scale(h, 1.0001)
+            loss = sum_all(h)
+        tracemalloc.start()
+        try:
+            grads = backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(grads[x], np.full(100_000, 1.0001 ** 30), rtol=1e-12)
+        assert peak < 5 * x.data.nbytes
+
     def test_no_tape_records_nothing(self):
         x = Tensor(np.ones(3), requires_grad=True)
         y = x * x

@@ -221,6 +221,21 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
 
 
+    def test_zero_block_budget_is_config_error(self, tmp_path, capsys):
+        """max_blocks = 0 would report bler=0 from 0 measured blocks."""
+        from axialrx.trainer import EvalConfig
+
+        path = tmp_path / "zero.ini"
+        path.write_text(TINY_CONFIG.replace("max_blocks = 4", "max_blocks = 0"))
+        out = tmp_path / "o"
+        rc = main(["eval", "--config", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "max_blocks" in capsys.readouterr().err
+        assert not (out / "eval_results.csv").exists()
+        with pytest.raises(ValueError, match="chunk_blocks"):
+            EvalConfig(chunk_blocks=0)
+
+
 class TestFlopsCommand:
     def test_desk_preset_prints_reduction_and_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "flops"

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from axialrx.autodiff import Tape, Tensor, backward, mean_all, sum_all
+import axialrx.layers as layers_mod
+from axialrx.autodiff import Tape, Tensor, backward, bmm, mean_all, softmax, sum_all
+from axialrx.complexity import model_report
 from axialrx.layers import (
     AttentionWeights,
     AxialBlock,
@@ -11,6 +13,7 @@ from axialrx.layers import (
     Receiver,
     ReceiverConfig,
     ResNetUnit,
+    attend,
     attention_projection_params,
     axial_freq_attention,
     axial_time_attention,
@@ -427,3 +430,98 @@ class TestEndToEndGradients:
         assert captured
         for a in captured:
             np.testing.assert_allclose(a.sum(axis=-1), np.ones(a.shape[:-1]), atol=1e-12)
+
+
+def attend_unchunked(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
+    """attend with the whole core as one bmm(softmax(bmm(q, k^T), scale=c), v)."""
+    s, length, d = x.shape
+    h, dh = w.heads, w.head_dim
+
+    def split_heads(m):
+        proj = x.reshape(s * length, d) @ m.data
+        return proj.reshape(s, length, h, dh).transpose(0, 2, 1, 3).reshape(s * h, length, dh)
+
+    q, k, v = split_heads(w.wq), split_heads(w.wk), split_heads(w.wv)
+    scores = bmm(Tensor(q), Tensor(k.transpose(0, 2, 1)))
+    mixed = bmm(softmax(scores, axis=-1, scale=1.0 / np.sqrt(dh)), Tensor(v)).data
+    merged = mixed.reshape(s, h, length, dh).transpose(0, 2, 1, 3).reshape(s * length, d)
+    return (merged @ w.wo.data).reshape(s, length, d)
+
+
+# (cap, x shape, heads, score chunks, slices recorded, concats recorded).
+# x is (S, L, D) with S*H sequences; caps are small so each path runs.
+CHUNK_PATHS = {
+    # one chunk covers all 6 sequences of 5x5 scores: today's node list
+    "single": (150, (3, 5, 8), 2, 1, 0, 0),
+    # 4 sequences per chunk (100 // 25), the last chunk holds the other 2
+    "grouped": (100, (3, 5, 8), 2, 2, 6, 1),
+    # 25 > 12 scores per sequence: rows of 12 // 5 = 2 (2, 2, 1) per sequence,
+    # plus one k^T and one v slice per sequence
+    "row-split": (12, (3, 5, 8), 2, 18, 6 * 2 + 18, 1),
+}
+
+
+class TestChunkedCore:
+    """attend's cache-sized chunks against the unchunked core."""
+
+    @staticmethod
+    def spy_calls(monkeypatch, name, log):
+        original = getattr(layers_mod, name)
+
+        def spy(*args, **kwargs):
+            out = original(*args, **kwargs)
+            log.append(out.shape)
+            return out
+
+        monkeypatch.setattr(layers_mod, name, spy)
+
+    @pytest.mark.parametrize("path", sorted(CHUNK_PATHS))
+    def test_matches_unchunked_core(self, path, monkeypatch):
+        cap, shape, heads, chunks, slices, concats = CHUNK_PATHS[path]
+        monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
+        logs = {name: [] for name in ("bmm", "slice_", "concat")}
+        for name, log in logs.items():
+            self.spy_calls(monkeypatch, name, log)
+        rng = np.random.default_rng(40)
+        w = make_weights(shape[2], heads, seed=41)
+        x = rng.standard_normal(shape)
+        got = attend(Tensor(x), w).data
+        np.testing.assert_allclose(got, attend_unchunked(x, w), rtol=1e-12, atol=0)
+        score_blocks = logs["bmm"][0::2]
+        assert len(score_blocks) == chunks
+        assert all(np.prod(b) <= cap for b in score_blocks)
+        assert len(logs["slice_"]) == slices
+        assert len(logs["concat"]) == concats
+
+    def test_single_chunk_records_the_unchunked_nodes(self, monkeypatch):
+        """At the default cap a desk-sized axial call records the plain core."""
+        logs = {name: [] for name in ("slice_", "concat")}
+        for name, log in logs.items():
+            self.spy_calls(monkeypatch, name, log)
+        w = make_weights(32, 4, seed=42)
+        x = Tensor(np.random.default_rng(43).standard_normal((14, 24, 32)), requires_grad=True)
+        with Tape() as tape:
+            axial_freq_attention(x, w)
+        ops = [node.grad_fn.__qualname__.split(".")[0] for node in tape.nodes]
+        assert logs == {"slice_": [], "concat": []}
+        assert ops == (["reshape"] + ["matmul", "reshape", "transpose", "reshape"] * 3
+                       + ["transpose", "bmm", "softmax", "bmm"]
+                       + ["reshape", "transpose", "reshape", "matmul", "reshape"])
+
+    def test_row_split_global_gradient(self, monkeypatch):
+        monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", 14)  # rows of 2 of 6
+        rng = np.random.default_rng(44)
+        w = make_weights(4, 2, seed=45)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        gradcheck(lambda: mean_all(global_mhsa(x, w) * global_mhsa(x, w)),
+                  [x, w.wq, w.wk, w.wv, w.wo])
+
+    @pytest.mark.parametrize("path", sorted(CHUNK_PATHS))
+    @pytest.mark.parametrize("variant", ["axial", "global"])
+    def test_counted_flops_equal_analytic(self, variant, path, monkeypatch):
+        monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", CHUNK_PATHS[path][0])
+        cfg = ReceiverConfig(variant=variant, t=3, f=5, n_rx=1, d=8, heads=2, n_blocks=2,
+                             bits_per_symbol=2)
+        report = model_report(cfg, seed=0, instrumented=True)
+        assert report.counted_layers == report.analytic_layers
+        assert report.attention_counted == report.attention_analytic
