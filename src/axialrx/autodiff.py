@@ -253,42 +253,6 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g * mask,))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    flopcount.add(4 * x.size)
-    y = 1.0 / (1.0 + np.exp(-np.abs(x.data)))
-    y = np.where(x.data >= 0.0, y, 1.0 - y)
-    out = Tensor(y)
-    return _record(out, (x,), lambda g: (g * y * (1.0 - y),))
-
-
-def exp(x: Tensor) -> Tensor:
-    flopcount.add(x.size)
-    y = np.exp(x.data)
-    out = Tensor(y)
-    return _record(out, (x,), lambda g: (g * y,))
-
-
-def log(x: Tensor) -> Tensor:
-    flopcount.add(x.size)
-    xd = x.data
-    out = Tensor(np.log(xd))
-    return _record(out, (x,), lambda g: (g / xd,))
-
-
-def log1p(x: Tensor) -> Tensor:
-    flopcount.add(x.size)
-    xd = x.data
-    out = Tensor(np.log1p(xd))
-    return _record(out, (x,), lambda g: (g / (1.0 + xd),))
-
-
-def abs_(x: Tensor) -> Tensor:
-    flopcount.add(x.size)
-    out = Tensor(np.abs(x.data))
-    sign = np.sign(x.data)
-    return _record(out, (x,), lambda g: (g * sign,))
-
-
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise DimensionError("concat of zero tensors")
@@ -375,6 +339,32 @@ def softmax(x: Tensor, axis: int, scale: float | None = None) -> Tensor:
         if scale is not None:
             gx *= c
         return (gx,)
+
+    return _record(out, (x,), grad_fn)
+
+
+def bce_with_logits(x: Tensor, bits: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Mean over the `mask` positions of log1p(exp(-|x|)) + max(x, 0) - x*bits.
+
+    The binary cross-entropy of logits x against 0/1 `bits` (both arrays of
+    x's shape, `mask` boolean) as one tape node. Its gradient is
+    (sigmoid(x) - bits) * mask / count. Forward and gradient are the IEEE
+    operations of the composed abs/exp/log1p/relu/mul/sub/sum/scale graph in
+    the order that graph computes and accumulates them, so values and
+    gradients are bitwise those of the composition, and so is the FLOP
+    charge: ten per element plus one.
+    """
+    flopcount.add(10 * x.size + 1)
+    c = 1.0 / int(mask.sum())
+    xd = x.data
+    mask_f = mask.astype(np.float64)
+    e = np.exp(np.abs(xd) * -1.0)
+    per_element = (np.log1p(e) + np.maximum(xd, 0.0)) - xd * bits
+    out = Tensor((per_element * mask_f).sum() * c)
+
+    def grad_fn(g):
+        gm = np.full(xd.shape, (g * c).reshape(-1)[0]) * mask_f
+        return ((-gm) * bits + gm * (xd > 0.0) + ((gm / (1.0 + e)) * e) * -1.0 * np.sign(xd),)
 
     return _record(out, (x,), grad_fn)
 

@@ -36,6 +36,9 @@ def save(params: dict[str, Tensor], path: str) -> None:
 
 
 def load(path: str) -> dict[str, np.ndarray]:
+    """Name -> float64 array map. Raises CheckpointError naming the file for
+    a missing, truncated or malformed file, and also naming the parameter
+    for a repeated name or a NaN/inf payload."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
@@ -61,5 +64,10 @@ def load(path: str) -> dict[str, np.ndarray]:
         dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
         count = int(np.prod(dims)) if rank else 1
         payload = take(8 * count)
-        out[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+        if name in out:
+            raise CheckpointError(f"{path}: parameter {name!r} appears twice")
+        value = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"{path}: parameter {name!r} holds NaN or inf")
+        out[name] = value
     return out

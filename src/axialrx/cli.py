@@ -117,6 +117,9 @@ def load_config(path: str | None, preset: str) -> dict[str, dict]:
         read = parser.read(path)
         if not read:
             raise UsageError(f"config file not found: {path}")
+        if parser.defaults():
+            raise ConfigError(f"keys in [DEFAULT] are not supported, put them in their "
+                              f"own section: {', '.join(parser.defaults())}")
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")

@@ -4,7 +4,7 @@ Counting convention (shared with the instrumented counter in the tensor
 ops): one multiply plus one accumulate is 2 FLOPs, so a matrix product
 (m, k) @ (k, n) costs 2mkn and a same-padded conv costs
 T*F*C_out*(2*k^2*C_in + 1) including the bias add. Elementwise ops cost
-one FLOP per output element, sigmoid and softmax four, layer norm eight.
+one FLOP per output element, softmax four, layer norm eight.
 Data movement (reshape, transpose, concatenation, slicing) is free.
 
 The "attention core" is only the two products Q K^T and A V; the 1/sqrt(d_h)

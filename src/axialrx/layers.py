@@ -62,6 +62,8 @@ class ReceiverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.d % self.heads != 0:
             raise ValueError(f"embedding dim {self.d} not divisible by {self.heads} heads")
         if self.kernel % 2 == 0:
@@ -92,6 +94,16 @@ def input_features(y: np.ndarray, n0: float) -> Tensor:
     return Tensor(planes)
 
 
+def _collect_parameters(part, prefix: str, out: dict[str, Tensor]) -> None:
+    """Add every Tensor attribute of `part`, and of the parts it holds, to
+    `out` under its dotted path below `prefix`."""
+    for name, value in vars(part).items():
+        if isinstance(value, Tensor):
+            out[f"{prefix}.{name}"] = value
+        elif hasattr(value, "__dict__"):
+            _collect_parameters(value, f"{prefix}.{name}", out)
+
+
 class AttentionWeights:
     """Projections for one multi-head attention operator.
 
@@ -110,9 +122,6 @@ class AttentionWeights:
         self.wk = _he_normal(rng, (d, d), d)
         self.wv = _he_normal(rng, (d, d), d)
         self.wo = _he_normal(rng, (d, d), d)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo}
 
 
 def attend(x: Tensor, w: AttentionWeights, bucket: str = "attn") -> Tensor:
@@ -198,9 +207,6 @@ class LayerNormParams:
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
 
 class FeedForward:
     """Position-wise D -> hidden -> D with ReLU."""
@@ -219,9 +225,6 @@ class FeedForward:
         inner = relu(bias_add(matmul(flat, self.w1), self.b1))
         return reshape(bias_add(matmul(inner, self.w2), self.b2), (t, f, d))
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
 
 class AxialBlock:
     """Pre-norm block: time attention, frequency attention, FFN, each residual."""
@@ -239,14 +242,6 @@ class AxialBlock:
         x = x + axial_freq_attention(self.ln2(x), self.freq, bucket=f"{bucket}.freq")
         return x + self.ffn(self.ln3(x))
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for prefix, part in (("ln1", self.ln1), ("time", self.time), ("ln2", self.ln2),
-                             ("freq", self.freq), ("ln3", self.ln3), ("ffn", self.ffn)):
-            for name, tensor in part.parameters().items():
-                out[f"{prefix}.{name}"] = tensor
-        return out
-
 
 class GlobalBlock:
     """Pre-norm block: global attention then FFN, each residual."""
@@ -261,14 +256,6 @@ class GlobalBlock:
         x = x + global_mhsa(self.ln1(x), self.att, bucket=f"{bucket}.att")
         return x + self.ffn(self.ln2(x))
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for prefix, part in (("ln1", self.ln1), ("att", self.att),
-                             ("ln2", self.ln2), ("ffn", self.ffn)):
-            for name, tensor in part.parameters().items():
-                out[f"{prefix}.{name}"] = tensor
-        return out
-
 
 class ConvLayer:
     def __init__(self, kernel: int, c_in: int, c_out: int, rng: np.random.Generator,
@@ -282,9 +269,6 @@ class ConvLayer:
     def __call__(self, x: Tensor) -> Tensor:
         return conv2d(x, self.w, self.b)
 
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
-
 
 class ResNetUnit:
     """LN -> conv3x3 -> ReLU -> conv3x3 with a skip connection."""
@@ -296,13 +280,6 @@ class ResNetUnit:
 
     def __call__(self, x: Tensor, bucket: str = "unit") -> Tensor:
         return x + self.conv2(relu(self.conv1(self.ln(x))))
-
-    def parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for prefix, part in (("ln", self.ln), ("conv1", self.conv1), ("conv2", self.conv2)):
-            for name, tensor in part.parameters().items():
-                out[f"{prefix}.{name}"] = tensor
-        return out
 
 
 class Receiver:
@@ -349,16 +326,11 @@ class Receiver:
     __call__ = forward
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for name, tensor in self.input_conv.parameters().items():
-            out[f"input_conv.{name}"] = tensor
-        if self.pos is not None:
-            out["pos"] = self.pos
-        for i, block in enumerate(self.blocks):
-            for name, tensor in block.parameters().items():
-                out[f"block{i:02d}.{name}"] = tensor
-        for name, tensor in self.output_conv.parameters().items():
-            out[f"output_conv.{name}"] = tensor
+        out = {} if self.pos is None else {"pos": self.pos}
+        parts = [("input_conv", self.input_conv), ("output_conv", self.output_conv)]
+        parts += [(f"block{i:02d}", block) for i, block in enumerate(self.blocks)]
+        for prefix, part in parts:
+            _collect_parameters(part, prefix, out)
         return dict(sorted(out.items()))
 
     def parameter_count(self) -> int:

@@ -16,25 +16,44 @@ from . import baseline, complexity, ldpc, layers
 from .layers import AttentionWeights
 
 
-def _finite_difference_ok(build_loss, leaves, tol=1e-4) -> bool:
+FD_STEP = 1e-5
+FD_TOL = 1e-4
+FD_ABS_FLOOR = 1e-7
+
+
+def gradcheck(build_loss, leaves, step=FD_STEP, tol=FD_TOL) -> float:
+    """Compare tape gradients against central finite differences.
+
+    `build_loss` must construct the graph from scratch on each call,
+    reading the current contents of every leaf in `leaves`. Each gradient
+    component must match within relative `tol`, unless it differs by at
+    most FD_ABS_FLOOR. Returns the worst relative error seen; raises
+    AssertionError naming the leaf shape and index of the first mismatch.
+    """
     with ad.Tape() as tape:
         loss = build_loss()
     grads = ad.backward(loss, tape, leaves=leaves)
+    worst = 0.0
     for leaf in leaves:
         flat = leaf.data.reshape(-1)
         analytic = grads[leaf].reshape(-1)
         for idx in range(flat.size):
             keep = flat[idx]
-            flat[idx] = keep + 1e-5
+            flat[idx] = keep + step
             up = build_loss().item()
-            flat[idx] = keep - 1e-5
+            flat[idx] = keep - step
             down = build_loss().item()
             flat[idx] = keep
-            fd = (up - down) / 2e-5
+            fd = (up - down) / (2.0 * step)
             diff = abs(analytic[idx] - fd)
-            if diff > 1e-7 and diff > tol * max(abs(analytic[idx]), abs(fd)):
-                return False
-    return True
+            if diff > FD_ABS_FLOOR:
+                rel = diff / max(abs(analytic[idx]), abs(fd))
+                worst = max(worst, rel)
+                if rel >= tol:
+                    raise AssertionError(
+                        f"gradient mismatch at leaf shape {leaf.shape} index {idx}: "
+                        f"autodiff {analytic[idx]:.8e} vs finite-diff {fd:.8e} (rel {rel:.3e})")
+    return worst
 
 
 def check_gradients() -> tuple[str, bool, str]:
@@ -47,14 +66,15 @@ def check_gradients() -> tuple[str, bool, str]:
     cb = ad.Tensor(rng.standard_normal(2), requires_grad=True)
     cx = ad.Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
 
-    ok = _finite_difference_ok(
-        lambda: ad.mean_all(ad.softmax(ad.layer_norm(ad.matmul(a, w), gamma, beta), axis=1)
-                            * ad.matmul(a, w)),
-        [a, w, gamma, beta])
-    ok = ok and _finite_difference_ok(
-        lambda: ad.mean_all(ad.conv2d(cx, cw, cb) * ad.conv2d(cx, cw, cb)),
-        [cx, cw, cb])
-    return ("gradient finite-difference", ok, "matmul/softmax/layer_norm/conv2d")
+    try:
+        gradcheck(lambda: ad.mean_all(ad.softmax(ad.layer_norm(ad.matmul(a, w), gamma, beta),
+                                                 axis=1) * ad.matmul(a, w)),
+                  [a, w, gamma, beta])
+        gradcheck(lambda: ad.mean_all(ad.conv2d(cx, cw, cb) * ad.conv2d(cx, cw, cb)),
+                  [cx, cw, cb])
+    except AssertionError as err:
+        return ("gradient finite-difference", False, str(err))
+    return ("gradient finite-difference", True, "matmul/softmax/layer_norm/conv2d")
 
 
 def check_softmax_rows() -> tuple[str, bool, str]:

@@ -3,7 +3,8 @@
 Each training step samples SNR, velocity, and delay spread uniformly from
 the configured ranges, draws a fresh channel and payload, runs the
 receiver, and minimizes the bit-metric binary cross-entropy over data
-resource elements (pilot positions carry no payload and are masked out).
+resource elements (pilot positions carry no payload and are masked out),
+which the tape records as one op.
 
 Every random draw derives from the master seed through a SeedSequence
 keyed by (seed, stream, index), so training traces, checkpoints, and
@@ -24,8 +25,7 @@ import numpy as np
 from . import channel as channel_mod
 from . import ldpc as ldpc_mod
 from . import phy
-from .autodiff import Tape, Tensor, abs_, backward, exp, log1p
-from .autodiff import mul, relu, scale, sub, sum_all
+from .autodiff import Tape, Tensor, backward, bce_with_logits, scale
 from .layers import Receiver
 
 TRAIN_STREAM = 101
@@ -71,6 +71,10 @@ class EvalConfig:
             raise ValueError(f"max_blocks must be >= 1, got {self.max_blocks}")
         if self.chunk_blocks < 1:
             raise ValueError(f"chunk_blocks must be >= 1, got {self.chunk_blocks}")
+        for tier in self.tiers:
+            if tier not in channel_mod.VELOCITY_TIERS:
+                raise ValueError(f"tiers: unknown tier {tier!r}, "
+                                 f"expected one of {tuple(channel_mod.VELOCITY_TIERS)}")
 
 
 @dataclass
@@ -91,24 +95,18 @@ class EvalPoint:
 
 
 def bce_loss(llr: Tensor, bits: np.ndarray, data_mask: np.ndarray) -> Tensor:
-    """Masked mean of the stable bit-metric cross-entropy.
+    """Masked mean of the stable bit-metric cross-entropy, one tape op.
 
     Uses log(1 + exp(-|L|)) + max(L, 0) - L*B per element, averaged over
-    the data positions only.
+    the data positions only; see `autodiff.bce_with_logits`.
     """
     bits = np.asarray(bits, dtype=np.float64)
     if bits.shape != llr.shape:
         raise ValueError(f"bit grid shape {bits.shape} != LLR shape {llr.shape}")
     mask = np.broadcast_to(np.asarray(data_mask, dtype=bool)[..., None], llr.shape)
-    count = int(mask.sum())
-    if count == 0:
+    if not mask.any():
         raise ValueError("empty data mask")
-    mask_f = Tensor(mask.astype(np.float64))
-    stable = log1p(exp(scale(abs_(llr), -1.0)))
-    hinge = relu(llr)
-    cross = mul(llr, Tensor(bits))
-    per_element = sub(stable + hinge, cross)
-    return scale(sum_all(mul(per_element, mask_f)), 1.0 / count)
+    return bce_with_logits(llr, bits, mask)
 
 
 @dataclass

@@ -4,49 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from axialrx.autodiff import Tape, Tensor, backward
-
-FD_STEP = 1e-5
-FD_TOL = 1e-4
-FD_ABS_FLOOR = 1e-7
+from axialrx import selftest
+from axialrx.autodiff import Tensor
 
 
-def gradcheck(build_loss, leaves, step=FD_STEP, tol=FD_TOL):
+def gradcheck(build_loss, leaves, step=selftest.FD_STEP, tol=selftest.FD_TOL):
     """Compare tape gradients against central finite differences.
 
-    `build_loss` must construct the graph from scratch on each call,
-    reading the current contents of every leaf in `leaves`. Passes when
-    each gradient component matches within relative `tol` (with a small
-    absolute floor for near-zero components). Returns the worst relative
-    error seen.
+    A thin wrapper around `axialrx.selftest.gradcheck`: fails with a
+    message naming the leaf shape and index of the first mismatching
+    component and returns the worst relative error seen.
     """
-    with Tape() as tape:
-        loss = build_loss()
-    grads = backward(loss, tape, leaves=leaves)
-
-    worst = 0.0
-    for leaf in leaves:
-        analytic = grads[leaf]
-        flat = leaf.data.reshape(-1)
-        for idx in range(flat.size):
-            original = flat[idx]
-            flat[idx] = original + step
-            up = build_loss().item()
-            flat[idx] = original - step
-            down = build_loss().item()
-            flat[idx] = original
-            fd = (up - down) / (2.0 * step)
-            ad = analytic.reshape(-1)[idx]
-            diff = abs(ad - fd)
-            denom = max(abs(ad), abs(fd))
-            if diff > FD_ABS_FLOOR:
-                rel = diff / max(denom, 1e-12)
-                worst = max(worst, rel)
-                assert rel < tol, (
-                    f"gradient mismatch at leaf shape {leaf.shape} index {idx}: "
-                    f"autodiff {ad:.8e} vs finite-diff {fd:.8e} (rel {rel:.3e})"
-                )
-    return worst
+    return selftest.gradcheck(build_loss, leaves, step=step, tol=tol)
 
 
 def rand_tensor(rng: np.random.Generator, shape, requires_grad=True, scale=1.0) -> Tensor:

@@ -7,7 +7,6 @@ import weakref
 import numpy as np
 import pytest
 
-import axialrx.autodiff as ad
 from axialrx.autodiff import (
     DimensionError,
     Tape,
@@ -23,7 +22,6 @@ from axialrx.autodiff import (
     relu,
     reshape,
     scale,
-    sigmoid,
     softmax,
     sum_all,
     transpose,
@@ -309,14 +307,6 @@ class TestElementwise:
         b = Tensor(np.zeros((2, 5)))
         assert concat([a, b], axis=1).shape == (2, 8)
 
-    def test_sigmoid_zero(self):
-        assert sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5, abs=1e-15)
-
-    def test_sigmoid_extremes_finite(self):
-        out = sigmoid(Tensor([-800.0, 800.0]))
-        assert np.isfinite(out.data).all()
-        np.testing.assert_allclose(out.data, [0.0, 1.0], atol=1e-12)
-
     def test_transpose_involution(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.standard_normal((3, 5)))
@@ -375,17 +365,12 @@ class TestGradientSoundness:
         rng = np.random.default_rng(25)
         a = rand_tensor(rng, (3, 3))
         b = rand_tensor(rng, (3, 3))
-        # shift away from relu/abs kinks so finite differences are clean
+        # shift away from the relu kink so finite differences are clean
         c = Tensor(rng.standard_normal((3, 3)) + np.sign(rng.standard_normal((3, 3))) * 0.5,
                    requires_grad=True)
         gradcheck(lambda: sum_all((a + b) * (a - b)), [a, b])
         gradcheck(lambda: sum_all(scale(a, 2.5) * b), [a])
         gradcheck(lambda: sum_all(relu(c)), [c])
-        gradcheck(lambda: sum_all(ad.abs_(c)), [c])
-        gradcheck(lambda: sum_all(sigmoid(a)), [a])
-        gradcheck(lambda: sum_all(ad.exp(scale(a, 0.3))), [a])
-        gradcheck(lambda: sum_all(ad.log(ad.exp(a))), [a])
-        gradcheck(lambda: sum_all(ad.log1p(ad.exp(a))), [a])
         gradcheck(lambda: mean_all(a * a), [a])
 
     def test_shape_op_suite(self):
@@ -458,6 +443,6 @@ class TestTapeBehavior:
     def test_finite_outputs_on_finite_inputs(self):
         rng = np.random.default_rng(28)
         x = Tensor(rng.standard_normal((6, 6)) * 50.0)
-        for out in (softmax(x, 1), sigmoid(x), relu(x),
+        for out in (softmax(x, 1), relu(x),
                     layer_norm(x, Tensor(np.ones(6)), Tensor(np.zeros(6)))):
             assert np.isfinite(out.data).all()

@@ -55,6 +55,26 @@ def test_truncated_rejected(tmp_path):
         load(str(clipped))
 
 
+def test_non_finite_payload_rejected(tmp_path):
+    path = tmp_path / "nan.axrx"
+    save({"a.ok": Tensor(np.ones(2)), "b.bad": Tensor(np.array([1.0, np.nan]))}, str(path))
+    with pytest.raises(CheckpointError, match=r"nan\.axrx.*'b\.bad'"):
+        load(str(path))
+    save({"w": Tensor(np.array([-np.inf]))}, str(path))
+    with pytest.raises(CheckpointError, match="'w'"):
+        load(str(path))
+
+
+def test_repeated_name_rejected(tmp_path):
+    one, two = tmp_path / "one.axrx", tmp_path / "two.axrx"
+    save({"w": Tensor(np.ones(3))}, str(one))
+    save({"w": Tensor(np.zeros(3))}, str(two))
+    doubled = tmp_path / "doubled.axrx"
+    doubled.write_bytes(one.read_bytes() + two.read_bytes()[len(MAGIC):])
+    with pytest.raises(CheckpointError, match=r"doubled\.axrx.*'w'"):
+        load(str(doubled))
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load(str(tmp_path / "absent.axrx"))

@@ -83,6 +83,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="nonsense"):
             load_config(str(path), "desk")
 
+    def test_default_section_keys_rejected(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[DEFAULT]\nbogus = 1\n")
+        from axialrx.cli import ConfigError
+
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\].*bogus"):
+            load_config(str(path), "desk")
+        assert main(["flops", "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--analytic-only"]) == EXIT_CONFIG
+
     def test_hash_stable_and_sensitive(self, tiny_config):
         a = config_hash(load_config(tiny_config, "desk"))
         b = config_hash(load_config(tiny_config, "desk"))
@@ -131,6 +141,14 @@ class TestExitCodes:
         rc = main(["flops", "--config", str(path), "--out", str(tmp_path / "o"),
                    "--analytic-only"])
         assert rc == EXIT_CONFIG
+
+    def test_zero_heads_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text("[model]\nheads = 0\n")
+        rc = main(["flops", "--config", str(path), "--out", str(tmp_path / "o"),
+                   "--analytic-only"])
+        assert rc == EXIT_CONFIG
+        assert "heads" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_is_runtime_error(self, tiny_config, tmp_path, capsys):
         bad = tmp_path / "bad.axrx"
@@ -234,6 +252,16 @@ class TestEvalCommand:
         assert not (out / "eval_results.csv").exists()
         with pytest.raises(ValueError, match="chunk_blocks"):
             EvalConfig(chunk_blocks=0)
+
+    def test_unknown_tier_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "tier.ini"
+        path.write_text(TINY_CONFIG + "tiers = tdl-lo, tdl-xx\n")
+        out = tmp_path / "o"
+        rc = main(["eval", "--config", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "tiers" in err and "'tdl-xx'" in err and "tdl-hi" in err
+        assert not (out / "eval_results.csv").exists()
 
 
 class TestFlopsCommand:

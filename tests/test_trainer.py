@@ -77,12 +77,18 @@ class TestBceLoss:
         rng = np.random.default_rng(2)
         llr = Tensor(rng.standard_normal((3, 4, 2)) * 2.0, requires_grad=True)
         bits = rng.integers(0, 2, (3, 4, 2)).astype(float)
-        mask = np.ones((3, 4), dtype=bool)
-        with Tape() as tape:
-            loss = bce_loss(llr, bits, mask)
-        grad = backward(loss, tape)[llr]
         sigma = 1.0 / (1.0 + np.exp(-llr.data))
-        np.testing.assert_allclose(grad, (sigma - bits) / bits.size, atol=1e-10)
+        full = np.ones((3, 4), dtype=bool)
+        partial = rng.random((3, 4)) < 0.6
+        partial[0, 0], partial[0, 1] = True, False
+        for mask in (full, partial):
+            with Tape() as tape:
+                loss = bce_loss(llr, bits, mask)
+            assert len(tape.nodes) == 1
+            grad = backward(loss, tape)[llr]
+            weight = mask[..., None] / (2 * mask.sum())
+            np.testing.assert_allclose(grad, (sigma - bits) * weight, atol=1e-10)
+            assert (grad[~mask] == 0.0).all()
 
     def test_pilot_positions_excluded(self):
         rng = np.random.default_rng(3)
