@@ -9,14 +9,12 @@ data generation execute.
 
 Deliberate restrictions keep the gradient rules small and auditable:
 float64 only, no broadcasting except `bias_add` and scalar ops, and a
-fresh tape per forward pass. Tapes are thread-local, so independent
-training or evaluation contexts may run in parallel threads without
-synchronization; a single tape must never be shared.
+fresh tape per forward pass. One process has one stack of active tapes;
+the innermost one records.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,15 +26,7 @@ class DimensionError(ValueError):
     """Operand shapes do not satisfy an operation's contract."""
 
 
-_state = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_state, "tapes", None)
-    if stack is None:
-        stack = []
-        _state.tapes = stack
-    return stack
+_TAPES: list["Tape"] = []  # active tapes, innermost last
 
 
 class Tensor:
@@ -108,19 +98,18 @@ class Tape:
         self.token = object()
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         assert popped is self, "mismatched Tape nesting"
         return False
 
 
 def _record(output: Tensor, inputs: tuple, grad_fn: Callable) -> Tensor:
-    stack = _tape_stack()
-    if stack:
-        tape = stack[-1]
+    if _TAPES:
+        tape = _TAPES[-1]
         if any(t.requires_grad or t._src_tape is tape.token for t in inputs):
             tape.nodes.append(Node(inputs, output, grad_fn))
             output._src_tape = tape.token

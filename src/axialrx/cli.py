@@ -113,7 +113,7 @@ def load_config(path: str | None, preset: str) -> dict[str, dict]:
     resolved = {section: {key: spec[column] for key, spec in keys.items()}
                 for section, keys in SCHEMA.items()}
     if path is not None:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         read = parser.read(path)
         if not read:
             raise UsageError(f"config file not found: {path}")
@@ -279,8 +279,7 @@ def cmd_eval(args, config: dict[str, dict]) -> int:
                               tiers=tuple(config["eval"]["tiers"]),
                               max_blocks=config["eval"]["max_blocks"],
                               target_errors=config["eval"]["target_errors"],
-                              seed=seed,
-                              threads=args.threads)
+                              seed=seed)
     except ValueError as err:
         raise ConfigError(f"[eval] {err}")
     out = Path(args.out)
@@ -361,15 +360,15 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the train/eval master seed")
         p.add_argument("--out", default="axrx_out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for evaluation (results are identical "
-                            "for any value)")
 
     p_train = sub.add_parser("train", help="train the configured receiver")
     common(p_train)
     p_eval = sub.add_parser("eval", help="BLER sweep of baselines and checkpoints")
     common(p_eval)
     p_eval.add_argument("checkpoints", nargs="*", help="trained model checkpoint files")
+    p_eval.add_argument("--threads", type=int, default=1,
+                        help="must be >= 1; evaluation runs serially and the value "
+                             "never changes output")
     p_flops = sub.add_parser("flops", help="FLOP/parameter report for all variants")
     common(p_flops)
     p_flops.add_argument("--analytic-only", action="store_true",
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = load_config(args.config, args.preset)
         apply_seed_overrides(config, args.seed)
-        if args.threads < 1:
+        if args.command == "eval" and args.threads < 1:
             raise UsageError("--threads must be >= 1")
         return COMMANDS[args.command](args, config)
     except UsageError as err:

@@ -1,8 +1,9 @@
-"""Thread-local floating-point operation counter.
+"""Floating-point operation counter.
 
 Tensor operations report their cost here whenever a counter is active;
-with no active counter the overhead is a single attribute lookup. Costs
-follow one fixed convention (multiply-accumulate = 2 FLOPs, see
+with no active counter the overhead is one list truth test. One process
+has one stack of active counters; the innermost one counts. Costs follow
+one fixed convention (multiply-accumulate = 2 FLOPs, see
 `axialrx.complexity` for the per-operation table) so that instrumented
 counts can be compared against analytic formulas exactly.
 
@@ -13,19 +14,10 @@ counter is active; anything outside an explicit bucket lands in "other".
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager, nullcontext
 
-_state = threading.local()
+_COUNTERS: list["FlopCounter"] = []  # active counters, innermost last
 _INACTIVE = nullcontext()
-
-
-def _stack() -> list:
-    stack = getattr(_state, "counters", None)
-    if stack is None:
-        stack = []
-        _state.counters = stack
-    return stack
 
 
 class FlopCounter:
@@ -37,11 +29,11 @@ class FlopCounter:
         self._bucket = "other"
 
     def __enter__(self) -> "FlopCounter":
-        _stack().append(self)
+        _COUNTERS.append(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        popped = _stack().pop()
+        popped = _COUNTERS.pop()
         assert popped is self, "mismatched FlopCounter nesting"
         return False
 
@@ -62,17 +54,10 @@ class FlopCounter:
 
 def add(n: int) -> None:
     """Report `n` FLOPs to the innermost active counter, if any."""
-    stack = _stack()
-    if stack:
-        stack[-1]._add(n)
-
-
-def active() -> FlopCounter | None:
-    stack = _stack()
-    return stack[-1] if stack else None
+    if _COUNTERS:
+        _COUNTERS[-1]._add(n)
 
 
 def bucket(name: str):
     """The active counter's `bucket(name)`, or a no-op context without one."""
-    counter = active()
-    return _INACTIVE if counter is None else counter.bucket(name)
+    return _COUNTERS[-1].bucket(name) if _COUNTERS else _INACTIVE

@@ -8,15 +8,13 @@ which the tape records as one op.
 
 Every random draw derives from the master seed through a SeedSequence
 keyed by (seed, stream, index), so training traces, checkpoints, and
-evaluation results are bitwise reproducible regardless of how work is
-scheduled; evaluation may fan blocks out over a thread pool without
-changing a single bit of the output.
+evaluation results are bitwise reproducible. Evaluation runs serially in
+the calling process, one block at a time.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -63,14 +61,16 @@ class EvalConfig:
     max_blocks: int = 200
     target_errors: int = 100
     seed: int = 0
-    threads: int = 1
-    chunk_blocks: int = 32  # fixed early-stop granularity, thread-count independent
+    threads: int = 1  # ignored: evaluation runs serially; kept for callers that pass it
+    chunk_blocks: int = 32  # early-stop granularity
 
     def __post_init__(self):
-        if self.max_blocks < 1:
-            raise ValueError(f"max_blocks must be >= 1, got {self.max_blocks}")
-        if self.chunk_blocks < 1:
-            raise ValueError(f"chunk_blocks must be >= 1, got {self.chunk_blocks}")
+        for key in ("max_blocks", "target_errors", "chunk_blocks"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("snr_points_db", "tiers"):
+            if not getattr(self, key):
+                raise ValueError(f"{key} must list at least one value")
         for tier in self.tiers:
             if tier not in channel_mod.VELOCITY_TIERS:
                 raise ValueError(f"tiers: unknown tier {tier!r}, "
@@ -270,57 +270,36 @@ def evaluate(receivers: dict[str, ReceiverFn], sim: LinkSimulator,
     """Paired BLER sweep: every receiver decodes the same grids per point.
 
     Blocks accumulate until every receiver reaches the target error count
-    or the block budget runs out; the early-stop check runs on fixed-size
-    chunks so results do not depend on the thread count.
+    or the block budget runs out; the early-stop check runs after each
+    chunk of `cfg.chunk_blocks` blocks, so every point runs at least one.
     """
     code = sim.code
     names = list(receivers)
     points: list[EvalPoint] = []
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
-        point_index = 0
-        for tier in cfg.tiers:
-            vel_range = channel_mod.VELOCITY_TIERS[tier]
-            for snr_db in cfg.snr_points_db:
-                errors = {name: 0 for name in names}
-                blocks_done = 0
-
-                def run_block(block: int, _point=point_index, _snr=snr_db,
-                              _vel=vel_range) -> dict[str, bool]:
-                    grid, info, meta = sim.sample((cfg.seed, EVAL_STREAM, _point, block),
-                                                  snr_db=_snr, velocity_range=_vel)
-                    wrong = {}
+    point_index = 0
+    for tier in cfg.tiers:
+        vel_range = channel_mod.VELOCITY_TIERS[tier]
+        for snr_db in cfg.snr_points_db:
+            errors = {name: 0 for name in names}
+            blocks_done = 0
+            while blocks_done < cfg.max_blocks and \
+                    not all(errors[name] >= cfg.target_errors for name in names):
+                chunk_end = min(blocks_done + cfg.chunk_blocks, cfg.max_blocks)
+                for block in range(blocks_done, chunk_end):
+                    grid, info, meta = sim.sample((cfg.seed, EVAL_STREAM, point_index, block),
+                                                  snr_db=snr_db, velocity_range=vel_range)
                     for name in names:
-                        llr_grid = receivers[name](grid, meta)
-                        llrs = phy.grid_to_bits(llr_grid, grid.pilot_mask)
-                        decoded_info = ldpc_mod.decode_info(code, llrs)
-                        wrong[name] = bool((decoded_info != info).any())
-                    return wrong
-
-                while blocks_done < cfg.max_blocks:
-                    if all(errors[name] >= cfg.target_errors for name in names):
-                        break
-                    chunk = range(blocks_done, min(blocks_done + cfg.chunk_blocks, cfg.max_blocks))
-                    if pool is not None:
-                        results = list(pool.map(run_block, chunk))
-                    else:
-                        results = [run_block(b) for b in chunk]
-                    for wrong in results:
-                        for name in names:
-                            errors[name] += wrong[name]
-                    blocks_done = chunk.stop
-                for name in names:
-                    p = errors[name] / blocks_done if blocks_done else 0.0
-                    halfwidth = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / blocks_done) \
-                        if blocks_done else 0.0
-                    points.append(EvalPoint(receiver=name, snr_db=snr_db, velocity_tier=tier,
-                                            blocks=blocks_done, errors=errors[name],
-                                            bler=p, halfwidth=halfwidth,
-                                            target_errors=cfg.target_errors))
-                point_index += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                        llrs = phy.grid_to_bits(receivers[name](grid, meta), grid.pilot_mask)
+                        errors[name] += bool((ldpc_mod.decode_info(code, llrs) != info).any())
+                blocks_done = chunk_end
+            for name in names:
+                p = errors[name] / blocks_done
+                halfwidth = 1.96 * math.sqrt(p * (1.0 - p) / blocks_done)
+                points.append(EvalPoint(receiver=name, snr_db=snr_db, velocity_tier=tier,
+                                        blocks=blocks_done, errors=errors[name],
+                                        bler=p, halfwidth=halfwidth,
+                                        target_errors=cfg.target_errors))
+            point_index += 1
     return points
 
 

@@ -150,6 +150,33 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         assert "heads" in capsys.readouterr().err
 
+    def test_lone_percent_is_config_error(self, tmp_path, capsys):
+        """A `%` reaches the value parsers instead of configparser interpolation."""
+        path = tmp_path / "bad.ini"
+        path.write_text("[model]\nvariant = 50%\n")
+        out = tmp_path / "o"
+        rc = main(["flops", "--config", str(path), "--out", str(out), "--analytic-only"])
+        assert rc == EXIT_CONFIG
+        assert "variant" in capsys.readouterr().err
+        assert not (out / "flops_report.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train"],
+        ["flops", "--analytic-only"],
+        ["selftest"],
+    ], ids=["train", "flops", "selftest"])
+    def test_threads_flag_only_on_eval(self, argv, tiny_config, tmp_path):
+        rc = main(argv + ["--config", tiny_config, "--out", str(tmp_path / "o"),
+                          "--threads", "2"])
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_threads_is_usage_error(self, tiny_config, tmp_path):
+        rc = main(["eval", "--config", tiny_config, "--out", str(tmp_path / "o"),
+                   "--threads", "0"])
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "o").exists()
+
     def test_corrupt_checkpoint_is_runtime_error(self, tiny_config, tmp_path, capsys):
         bad = tmp_path / "bad.axrx"
         bad.write_bytes(b"garbage")
@@ -252,6 +279,22 @@ class TestEvalCommand:
         assert not (out / "eval_results.csv").exists()
         with pytest.raises(ValueError, match="chunk_blocks"):
             EvalConfig(chunk_blocks=0)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("target_errors = 2", "target_errors = 0", "target_errors"),
+        ("snr_points_db = 6", "snr_points_db = ,", "snr_points_db"),
+        ("snr_points_db = 6", "snr_points_db = 6\ntiers = ,", "tiers"),
+        ("snr_points_db = 6", "snr_points_db = 6%", "snr_points_db"),
+    ], ids=["zero-target", "empty-snr", "empty-tiers", "lone-percent"])
+    def test_unmeasured_sweep_is_config_error(self, old, new, key, tmp_path, capsys):
+        """A sweep that would measure nothing, or a stray `%`, exits 2 naming the key."""
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        rc = main(["eval", "--config", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (out / "eval_results.csv").exists()
 
     def test_unknown_tier_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "tier.ini"

@@ -247,6 +247,19 @@ class TestEvaluate:
                               target_errors=100, seed=3, threads=4)
         assert evaluate(receivers, small_sim, base) == evaluate(receivers, small_sim, threaded)
 
+    def test_evaluate_starts_no_thread(self, small_sim, monkeypatch):
+        """Evaluation is serial whatever `threads` says."""
+        import threading
+
+        def refuse(thread):
+            raise AssertionError(f"evaluate started {thread!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = EvalConfig(snr_points_db=(8.0,), tiers=("tdl-lo",), max_blocks=4,
+                         target_errors=100, seed=3, threads=4, chunk_blocks=2)
+        points = evaluate({"ls-lmmse": lmmse_receiver(SMALL_LINK)}, small_sim, cfg)
+        assert points[0].blocks == 4
+
     def test_neural_receiver_runs_in_eval(self, small_sim):
         model = small_model(seed=6)
         receivers = {"axial": neural_receiver(model)}
