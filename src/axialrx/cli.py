@@ -282,6 +282,7 @@ def cmd_eval(args, config: dict[str, dict]) -> int:
                               seed=seed)
     except ValueError as err:
         raise ConfigError(f"[eval] {err}")
+    receiver_cfg = receiver_config_from(config)  # reject an invalid [model] before any work
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     link = link_from_config(config)
@@ -292,7 +293,7 @@ def cmd_eval(args, config: dict[str, dict]) -> int:
     }
     for path in args.checkpoints:
         state = load(path)  # CheckpointError names the file
-        model = Receiver(receiver_config_from(config), seed=config["model"]["init_seed"])
+        model = Receiver(receiver_cfg, seed=config["model"]["init_seed"])
         try:
             model.load_state(state)
         except ValueError as err:

@@ -11,6 +11,17 @@ comes from the reduced row echelon form of H: free columns carry the
 information bits, pivot columns are parity solved by a bit-packed GF(2)
 back-substitution block.
 
+Decoding is one batched normalized min-sum kernel over (B, n) LLRs;
+`decode` runs it on a single row and `decode_info` on one row or a stack.
+Messages are kept slot-major, (row_weight, m, B): slot s of every check
+is one contiguous (m, B) slab, so each check-node step is an elementwise
+op over whole slabs, and the variable-node gathers use flat edge ids
+`col_slots * m + col_rows`. After every syndrome check the rows that
+converged are written out and dropped from the batch, so the remaining
+iterations only touch rows still being decoded. Rows never interact:
+a row decodes to the same bits, `converged` and `iterations` whatever
+else shares its batch.
+
 LLR sign convention at the API: positive means bit 1 is more likely
 (matching the receiver chain); internally the decoder flips to the usual
 positive-means-zero convention.
@@ -183,6 +194,77 @@ def syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
     return bits[code.row_cols].sum(axis=1) % 2
 
 
+def _min_sum(code: LdpcCode, llr: np.ndarray, max_iter: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched normalized min-sum over (B, n) API-convention LLRs.
+
+    Returns per-row hard decisions (B, n), `converged` (B,) and
+    `iterations` (B,). Rows never interact, so each row's result is the
+    same whatever else shares its batch.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    batch = llr.shape[0]
+    m, row_weight = code.row_cols.shape
+    check_cols = code.row_cols.T  # (row_weight, m): slot s of every check
+    edges = (code.col_slots * m + code.col_rows).T  # (col_weight, n) flat slot-major edge ids
+    bits = np.empty((batch, code.n), dtype=np.uint8)
+    converged = np.zeros(batch, dtype=bool)
+    iterations = np.full(batch, max_iter, dtype=np.int64)
+    active = np.arange(batch)
+    chan = -np.ascontiguousarray(llr.T)  # (n, B); decoder-internal: positive favors bit 0
+    posterior = chan
+    msgs = np.zeros((row_weight, m, batch))  # check-to-variable, one slab per slot
+    for iteration in range(1, max_iter + 1):
+        parity = np.bitwise_xor.reduce((posterior < 0.0)[check_cols], axis=0)  # (m, B) syndrome
+        done = (posterior != 0.0).all(axis=0) & ~parity.any(axis=0)
+        if done.any():
+            rows = active[done]
+            bits[rows] = (posterior[:, done] < 0.0).T
+            converged[rows] = True
+            iterations[rows] = iteration
+            # np.compress keeps the arrays C-contiguous; `x[..., keep]` would not.
+            keep = ~done
+            active = active[keep]
+            chan, posterior, msgs = (np.compress(keep, x, axis=-1)
+                                     for x in (chan, posterior, msgs))
+            if active.size == 0:
+                return bits, converged, iterations
+        # Variable-to-check messages, in place and one slot at a time: each
+        # edge's posterior minus the message it got from that check.
+        for cols, slab in zip(check_cols, msgs):
+            np.subtract(posterior[cols], slab, out=slab)
+        negative = msgs < 0.0
+        mag = np.abs(msgs, out=msgs)
+        # Running scan with strict `<`: the first minimal slot wins and a tie
+        # leaves min2 == min1, as np.partition and argmin would.
+        min1, min2 = np.minimum(mag[0], mag[1]), np.maximum(mag[0], mag[1])
+        argmin = (mag[1] < mag[0]).astype(np.uint8)
+        for s in range(2, row_weight):
+            # a new strict minimum at slot s moves argmin up to s, never down
+            np.maximum(argmin, (mag[s] < min1) * np.uint8(s), out=argmin)
+            np.minimum(min2, np.maximum(min1, mag[s]), out=min2)
+            np.minimum(min1, mag[s], out=min1)
+        # Magnitudes: min1 on every edge, then min2 scattered onto each argmin.
+        np.copyto(msgs, MIN_SUM_SCALE * min1)
+        at_argmin = argmin.ravel().astype(np.intp) * min1.size + np.arange(min1.size)
+        msgs.reshape(-1)[at_argmin] = MIN_SUM_SCALE * min2.ravel()
+        # Signs: an edge's message is negative when the other slots' signs
+        # XOR to one; setting the sign bit of a magnitude negates it exactly.
+        row_negative = np.bitwise_xor.reduce(negative, axis=0)
+        for slab_bits, slab_negative in zip(msgs.view(np.uint64), negative):
+            sign_bits = (slab_negative ^ row_negative).astype(np.uint64)
+            sign_bits <<= 63
+            slab_bits |= sign_bits
+        flat = msgs.reshape(row_weight * m, -1)
+        posterior = flat[edges[0]] + flat[edges[1]]
+        for ids in edges[2:]:
+            posterior += flat[ids]
+        posterior += chan
+    bits[active] = (posterior < 0.0).T
+    return bits, converged, iterations
+
+
 def decode(code: LdpcCode, llr: np.ndarray, max_iter: int = DEFAULT_MAX_ITER) -> DecodeResult:
     """Normalized min-sum belief propagation with syndrome early exit.
 
@@ -190,41 +272,21 @@ def decode(code: LdpcCode, llr: np.ndarray, max_iter: int = DEFAULT_MAX_ITER) ->
     (nonzero); degenerate all-zero input therefore reports converged=False
     even though the all-zero word is a codeword.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (code.n,):
         raise ValueError(f"expected {code.n} LLRs, got shape {llr.shape}")
-    chan = -llr  # decoder-internal convention: positive favors bit 0
-    rows, slots = code.col_rows, code.col_slots
-    v2c = chan[code.row_cols]  # (m, row_weight)
-    posterior = chan
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        bits = (posterior < 0).astype(np.uint8)
-        if (posterior != 0.0).all() and not syndrome(code, bits).any():
-            return DecodeResult(bits=bits, converged=True, iterations=iterations)
-        sgn = np.where(v2c < 0.0, -1.0, 1.0)
-        mag = np.abs(v2c)
-        row_sign = sgn.prod(axis=1)
-        part = np.partition(mag, 1, axis=1)
-        min1, min2 = part[:, 0], part[:, 1]
-        argmin = mag.argmin(axis=1)
-        use_min = np.where(np.arange(v2c.shape[1])[None, :] == argmin[:, None],
-                           min2[:, None], min1[:, None])
-        c2v = MIN_SUM_SCALE * row_sign[:, None] * sgn * use_min
-        col_msgs = c2v[rows, slots]  # (n, col_weight)
-        posterior = chan + col_msgs.sum(axis=1)
-        v2c_scattered = np.empty_like(v2c)
-        v2c_scattered[rows, slots] = posterior[:, None] - col_msgs
-        v2c = v2c_scattered
-    bits = (posterior < 0).astype(np.uint8)
-    return DecodeResult(bits=bits, converged=False, iterations=iterations)
+    bits, converged, iterations = _min_sum(code, llr[None], max_iter)
+    return DecodeResult(bits=bits[0], converged=bool(converged[0]),
+                        iterations=int(iterations[0]))
 
 
 def decode_info(code: LdpcCode, llr: np.ndarray, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Decode and return only the information-bit positions."""
-    return decode(code, llr, max_iter).bits[code.info_cols]
+    """Decode (n,) or (B, n) LLRs; return the (k,) or (B, k) information bits."""
+    llr = np.asarray(llr, dtype=np.float64)
+    if llr.ndim not in (1, 2) or llr.shape[-1] != code.n:
+        raise ValueError(f"expected {code.n} LLRs per row, got shape {llr.shape}")
+    bits = _min_sum(code, llr.reshape(-1, code.n), max_iter)[0]
+    return bits.reshape(llr.shape)[..., code.info_cols]
 
 
 def to_alist(code: LdpcCode) -> str:

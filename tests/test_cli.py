@@ -296,6 +296,16 @@ class TestEvalCommand:
         assert key in capsys.readouterr().err
         assert not (out / "eval_results.csv").exists()
 
+    def test_bad_variant_without_checkpoints_is_config_error(self, tmp_path, capsys):
+        """The [model] section is checked even when no checkpoint uses it."""
+        path = tmp_path / "variant.ini"
+        path.write_text(TINY_CONFIG.replace("blocks = 1", "blocks = 1\nvariant = quantum"))
+        out = tmp_path / "o"
+        rc = main(["eval", "--config", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "variant" in capsys.readouterr().err
+        assert not (out / "eval_results.csv").exists()
+
     def test_unknown_tier_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "tier.ini"
         path.write_text(TINY_CONFIG + "tiers = tdl-lo, tdl-xx\n")

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from axialrx import channel, ldpc, phy
 from axialrx.autodiff import Tape, Tensor, backward
 from axialrx.layers import Receiver, ReceiverConfig
 from axialrx.phy import LinkConfig
 from axialrx.trainer import (
+    EVAL_STREAM,
     AdamState,
     EvalConfig,
+    EvalPoint,
     LinkSimulator,
     TrainConfig,
     TrainingDiverged,
@@ -278,9 +281,37 @@ class TestEvaluate:
         assert points[0].blocks == 8
         assert points[0].errors >= 8
 
-    def test_monotonicity_helper(self):
-        from axialrx.trainer import EvalPoint
+    def test_chunked_decode_equals_per_block_loop(self, small_sim, monkeypatch):
+        """One batched decode per chunk gives the per-block loop's points.
 
+        chunk_blocks=4 does not divide max_blocks=11, so full-budget points
+        end on a short chunk; the untrained axial receiver errs on every
+        block and stops the low-SNR points after one or two chunks.
+        """
+        receivers = {
+            "ls-lmmse": lmmse_receiver(SMALL_LINK),
+            "perfect-csi": perfect_csi_receiver(SMALL_LINK),
+            "axial": neural_receiver(small_model(seed=7)),
+        }
+        cfg = EvalConfig(snr_points_db=(-4.0, 4.0, 20.0), tiers=("tdl-lo", "tdl-hi"),
+                         max_blocks=11, target_errors=3, seed=6, chunk_blocks=4)
+        expected = per_block_evaluate(receivers, small_sim, cfg)
+        calls = []
+        original = ldpc.decode_info
+
+        def spy(code, llr, *args, **kwargs):
+            calls.append(llr.shape)
+            return original(code, llr, *args, **kwargs)
+
+        monkeypatch.setattr(ldpc, "decode_info", spy)
+        points = evaluate(receivers, small_sim, cfg)
+        assert points == expected
+        blocks = [p.blocks for p in points[::len(receivers)]]
+        assert blocks == [4, 8, 11, 4, 4, 11]
+        chunks = [4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 3]
+        assert calls == [(size * len(receivers), small_sim.code.n) for size in chunks]
+
+    def test_monotonicity_helper(self):
         series = [
             EvalPoint("rx", 0.0, "tdl-lo", 100, 60, 0.6, 0.05),
             EvalPoint("rx", 3.0, "tdl-lo", 100, 40, 0.4, 0.05),
@@ -293,3 +324,33 @@ class TestEvaluate:
         assert (snr_a, snr_b) == (3.0, 6.0)
         assert rise == pytest.approx(0.05)
         assert allowance == pytest.approx(0.10)
+
+
+def per_block_evaluate(receivers, sim, cfg):
+    """The sweep as a plain loop that decodes one block per receiver at a time."""
+    names = list(receivers)
+    points = []
+    point_index = 0
+    for tier in cfg.tiers:
+        vel_range = channel.VELOCITY_TIERS[tier]
+        for snr_db in cfg.snr_points_db:
+            errors = {name: 0 for name in names}
+            blocks_done = 0
+            while blocks_done < cfg.max_blocks and \
+                    not all(errors[name] >= cfg.target_errors for name in names):
+                chunk_end = min(blocks_done + cfg.chunk_blocks, cfg.max_blocks)
+                for block in range(blocks_done, chunk_end):
+                    grid, info, meta = sim.sample((cfg.seed, EVAL_STREAM, point_index, block),
+                                                  snr_db=snr_db, velocity_range=vel_range)
+                    for name in names:
+                        llrs = phy.grid_to_bits(receivers[name](grid, meta), grid.pilot_mask)
+                        errors[name] += bool((ldpc.decode_info(sim.code, llrs) != info).any())
+                blocks_done = chunk_end
+            for name in names:
+                p = errors[name] / blocks_done
+                points.append(EvalPoint(receiver=name, snr_db=snr_db, velocity_tier=tier,
+                                        blocks=blocks_done, errors=errors[name], bler=p,
+                                        halfwidth=1.96 * math.sqrt(p * (1.0 - p) / blocks_done),
+                                        target_errors=cfg.target_errors))
+            point_index += 1
+    return points
