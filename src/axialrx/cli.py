@@ -18,6 +18,7 @@ import argparse
 import configparser
 import csv
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -154,10 +155,50 @@ def config_hash(config: dict[str, dict]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def link_from_config(config: dict[str, dict]) -> LinkConfig:
+def _check_link(config: dict[str, dict]) -> None:
+    """Raise ConfigError naming the first [link] or [channel] key with an unusable value."""
+    for key in ("taps", "sinusoids"):
+        if config["channel"][key] < 1:
+            raise ConfigError(f"[channel] {key} must be >= 1, got {config['channel'][key]}")
     link = config["link"]
     if abs(link["code_rate"] - 0.5) > 1e-9:
         raise ConfigError(f"only code_rate 0.5 is supported, got {link['code_rate']}")
+    for key in ("ofdm_symbols", "subcarriers", "rx_antennas"):
+        if link[key] < 1:
+            raise ConfigError(f"[link] {key} must be >= 1, got {link[key]}")
+    if link["modulation_order"] not in (4, 16, 64):
+        raise ConfigError(f"[link] modulation_order must be 4, 16 or 64, "
+                          f"got {link['modulation_order']}")
+    pilots, t = link["pilot_symbols"], link["ofdm_symbols"]
+    if not pilots:
+        raise ConfigError("[link] pilot_symbols must list at least one symbol index "
+                          "(the LS-LMMSE reference estimates the channel from them)")
+    for index in pilots:
+        if not 0 <= index < t:
+            raise ConfigError(f"[link] pilot_symbols: index {index} outside "
+                              f"[0, {t}) for ofdm_symbols = {t}")
+    if len(set(pilots)) != len(pilots) or len(pilots) >= t:
+        raise ConfigError(f"[link] pilot_symbols {','.join(map(str, pilots))} must be "
+                          f"distinct and leave a data symbol among {t}")
+    ranges = (("snr_db_min", "snr_db_max"), ("velocity_min_mps", "velocity_max_mps"),
+              ("delay_spread_min_ns", "delay_spread_max_ns"))
+    for key in ("subcarrier_spacing_hz", "carrier_frequency_hz", *sum(ranges, ())):
+        if not math.isfinite(link[key]):
+            raise ConfigError(f"[link] {key} must be finite, got {link[key]}")
+    for key in ("subcarrier_spacing_hz", "carrier_frequency_hz"):
+        if link[key] <= 0.0:
+            raise ConfigError(f"[link] {key} must be > 0, got {link[key]}")
+    for key in ("velocity_min_mps", "delay_spread_min_ns"):
+        if link[key] < 0.0:
+            raise ConfigError(f"[link] {key} must be >= 0, got {link[key]}")
+    for low, high in ranges:
+        if link[low] > link[high]:
+            raise ConfigError(f"[link] {low} = {link[low]} exceeds {high} = {link[high]}")
+
+
+def link_from_config(config: dict[str, dict]) -> LinkConfig:
+    _check_link(config)
+    link = config["link"]
     return LinkConfig(
         t=link["ofdm_symbols"],
         f=link["subcarriers"],
@@ -237,16 +278,20 @@ def cmd_train(args, config: dict[str, dict]) -> int:
     from .layers import Receiver
     from .trainer import TrainConfig, train
 
+    seed = config["train"]["seed"]
+    try:
+        train_cfg = TrainConfig(steps=config["train"]["steps"],
+                                batch_size=config["train"]["batch_size"],
+                                learning_rate=config["train"]["learning_rate"],
+                                seed=seed,
+                                checkpoint_every=config["train"]["checkpoint_every"])
+    except ValueError as err:
+        raise ConfigError(f"[train] {err}")
+    receiver_cfg = receiver_config_from(config)  # reject a bad [link] or [model] before any work
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = config["train"]["seed"]
     sim = _build_simulator(config)
-    model = Receiver(receiver_config_from(config), seed=config["model"]["init_seed"])
-    train_cfg = TrainConfig(steps=config["train"]["steps"],
-                            batch_size=config["train"]["batch_size"],
-                            learning_rate=config["train"]["learning_rate"],
-                            seed=seed,
-                            checkpoint_every=config["train"]["checkpoint_every"])
+    model = Receiver(receiver_cfg, seed=config["model"]["init_seed"])
 
     def checkpoint_fn(step: int, m) -> None:
         save(m.named_parameters(), str(out / f"checkpoint_step{step:06d}.axrx"))
@@ -314,11 +359,11 @@ def cmd_eval(args, config: dict[str, dict]) -> int:
 def cmd_flops(args, config: dict[str, dict]) -> int:
     from .complexity import model_report, reduction_factor, render_report, report_csv_rows
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seed = config["train"]["seed"]
     link = link_from_config(config)
     receiver_config_from(config)  # reject an invalid configured variant up front
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows: list[tuple] = []
     for variant in ("axial", "global", "cnn-resnet"):
         cfg = receiver_config_from(config, variant=variant)

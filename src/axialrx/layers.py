@@ -62,14 +62,19 @@ class ReceiverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.heads < 1:
-            raise ValueError(f"heads must be >= 1, got {self.heads}")
+        if self.ffn_hidden is None:
+            self.ffn_hidden = 2 * self.d
+        for key, value, low in (("embedding_dim", self.d, 1), ("heads", self.heads, 1),
+                                ("blocks", self.n_blocks, 0), ("kernel", self.kernel, 1),
+                                ("ffn_hidden", self.ffn_hidden, 1),
+                                ("resnet_units", self.resnet_units, 0),
+                                ("resnet_channels", self.resnet_channels, 1)):
+            if value < low:
+                raise ValueError(f"{key} must be >= {low}, got {value}")
         if self.d % self.heads != 0:
             raise ValueError(f"embedding dim {self.d} not divisible by {self.heads} heads")
         if self.kernel % 2 == 0:
             raise ValueError(f"kernel size must be odd, got {self.kernel}")
-        if self.ffn_hidden is None:
-            self.ffn_hidden = 2 * self.d
 
     @property
     def head_dim(self) -> int:

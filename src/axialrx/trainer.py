@@ -52,8 +52,11 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = only the final state is kept
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1:
-            raise ValueError("steps must be >= 0 and batch_size >= 1")
+        for key, low in (("steps", 0), ("batch_size", 1), ("checkpoint_every", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -196,6 +199,13 @@ def train(model: Receiver, sim: LinkSimulator, cfg: TrainConfig,
           checkpoint_fn: Callable[[int, Receiver], None] | None = None) -> TrainResult:
     """Adam-optimize the receiver; deterministic for a fixed master seed.
 
+    Each grid of a step is taped, differentiated and dropped on its own,
+    so tape memory is bounded by one grid. Grids are visited last first:
+    every parameter is used once per forward, so summing the per-grid
+    gradients in that order repeats the additions of one tape over the
+    whole batch, bit for bit. The loss is the batch mean, summed first
+    to last.
+
     `checkpoint_fn(step, model)` fires every `cfg.checkpoint_every` steps
     when both are set; the caller owns serialization.
     """
@@ -203,23 +213,26 @@ def train(model: Receiver, sim: LinkSimulator, cfg: TrainConfig,
     leaves = list(params.values())
     state = AdamState()
     trace: list[tuple[int, float, float, float]] = []
+    weight = 1.0 / cfg.batch_size
     for step in range(cfg.steps):
-        snrs = []
-        velocities = []
-        with Tape() as tape:
-            total = None
-            for b in range(cfg.batch_size):
-                grid, _, meta = sim.sample((cfg.seed, TRAIN_STREAM, step, b))
-                snrs.append(meta["snr_db"])
-                velocities.append(meta["velocity"])
+        samples = [sim.sample((cfg.seed, TRAIN_STREAM, step, b)) for b in range(cfg.batch_size)]
+        snrs = [meta["snr_db"] for _, _, meta in samples]
+        velocities = [meta["velocity"] for _, _, meta in samples]
+        losses = [0.0] * cfg.batch_size
+        grads: dict[Tensor, np.ndarray] | None = None
+        for b in reversed(range(cfg.batch_size)):
+            grid = samples[b][0]
+            with Tape() as tape:
                 llr = model.forward(grid)
                 loss_b = bce_loss(llr, grid.bits, grid.data_mask)
-                total = loss_b if total is None else total + loss_b
-            loss = scale(total, 1.0 / cfg.batch_size)
-        loss_value = loss.item()
+                losses[b] = loss_b.item()
+                loss = scale(loss_b, weight)
+            grid_grads = backward(loss, tape, leaves=leaves)
+            grads = grid_grads if grads is None else \
+                {t: grads[t] + g for t, g in grid_grads.items()}
+        loss_value = sum(losses) * weight
         if not math.isfinite(loss_value):
             raise TrainingDiverged(step, f"snr={snrs} velocity={velocities}")
-        grads = backward(loss, tape, leaves=leaves)
         adam_step(params, grads, state, cfg)
         trace.append((step, loss_value, float(np.mean(snrs)), float(np.mean(velocities))))
         if log_fn is not None and (step % 50 == 0 or step == cfg.steps - 1):

@@ -185,6 +185,77 @@ class TestExitCodes:
         assert "bad.axrx" in capsys.readouterr().err
 
 
+class TestConfigValidation:
+    """Bad values exit 2 naming the key, before any expensive work or output."""
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("steps = 2", "steps = -1", "steps"),
+        ("batch_size = 2", "batch_size = 0", "batch_size"),
+        ("batch_size = 2", "batch_size = 2\nlearning_rate = nan", "learning_rate"),
+        ("batch_size = 2", "batch_size = 2\nlearning_rate = inf", "learning_rate"),
+        ("batch_size = 2", "batch_size = 2\nlearning_rate = 0", "learning_rate"),
+        ("batch_size = 2", "batch_size = 2\nlearning_rate = -1e-3", "learning_rate"),
+        ("embedding_dim = 8", "embedding_dim = 0", "embedding_dim"),
+        ("blocks = 1", "blocks = -1", "blocks"),
+        ("embedding_dim = 8", "embedding_dim = 8\nkernel = -1", "kernel"),
+        ("embedding_dim = 8", "embedding_dim = 8\nffn_hidden = -4", "ffn_hidden"),
+        ("embedding_dim = 8", "embedding_dim = 8\nresnet_channels = 0", "resnet_channels"),
+    ], ids=["negative-steps", "zero-batch", "nan-lr", "inf-lr", "zero-lr", "negative-lr",
+            "zero-embedding", "negative-blocks", "negative-kernel", "negative-ffn",
+            "zero-resnet-channels"])
+    def test_bad_train_or_model_value(self, old, new, key, tmp_path, capsys, monkeypatch):
+        import axialrx.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "_build_simulator", lambda config: built.append(config))
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        rc = main(["train", "--config", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not built and not out.exists()
+
+    @pytest.mark.parametrize("command", [["train"], ["eval"], ["flops", "--analytic-only"]],
+                             ids=["train", "eval", "flops"])
+    @pytest.mark.parametrize("old, new, key", [
+        ("subcarriers = 8", "subcarriers = 0", "subcarriers"),
+        ("snr_db_max = 12", "snr_db_max = 12\nmodulation_order = 8", "modulation_order"),
+        ("snr_db_max = 12", "snr_db_max = 12\npilot_symbols = 2,20", "pilot_symbols"),
+        ("snr_db_max = 12", "snr_db_max = 12\nsnr_db_min = nan", "snr_db_min"),
+    ], ids=["zero-subcarriers", "order-8", "pilot-out-of-range", "nan-snr"])
+    def test_bad_link_value(self, command, old, new, key, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        rc = main(command + ["--config", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("link", "ofdm_symbols", 0),
+        ("link", "rx_antennas", 0),
+        ("link", "pilot_symbols", ()),
+        ("link", "pilot_symbols", (2, 2)),
+        ("link", "pilot_symbols", tuple(range(14))),
+        ("link", "subcarrier_spacing_hz", 0.0),
+        ("link", "carrier_frequency_hz", float("inf")),
+        ("link", "snr_db_min", 13.0),
+        ("link", "velocity_min_mps", -1.0),
+        ("link", "delay_spread_max_ns", float("nan")),
+        ("channel", "taps", 0),
+        ("channel", "sinusoids", 0),
+    ])
+    def test_link_from_config_names_the_key(self, section, key, value, tiny_config):
+        from axialrx.cli import ConfigError
+
+        config = load_config(tiny_config, "desk")
+        config[section][key] = value
+        with pytest.raises(ConfigError, match=key):
+            link_from_config(config)
+
+
 class TestTrainCommand:
     def test_creates_three_outputs_and_is_reproducible(self, tiny_config, tmp_path):
         out1 = tmp_path / "run1"

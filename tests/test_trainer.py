@@ -1,16 +1,18 @@
 """BCE loss, Adam, the training loop, and the paired evaluation sweep."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from axialrx import channel, ldpc, phy
-from axialrx.autodiff import Tape, Tensor, backward
+from axialrx import channel, ldpc, phy, trainer
+from axialrx.autodiff import Tape, Tensor, backward, scale
 from axialrx.layers import Receiver, ReceiverConfig
 from axialrx.phy import LinkConfig
 from axialrx.trainer import (
     EVAL_STREAM,
+    TRAIN_STREAM,
     AdamState,
     EvalConfig,
     EvalPoint,
@@ -37,7 +39,7 @@ def small_sim():
 
 def small_model(seed=0, variant="axial", n_blocks=1):
     cfg = ReceiverConfig(variant=variant, t=14, f=8, n_rx=1, d=8, heads=2,
-                         n_blocks=n_blocks, bits_per_symbol=2)
+                         n_blocks=n_blocks, bits_per_symbol=2, resnet_units=2, resnet_channels=8)
     return Receiver(cfg, seed=seed)
 
 
@@ -203,12 +205,85 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="step 0"):
             train(model, small_sim, TrainConfig(steps=1, batch_size=1, seed=9))
 
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("variant", ["axial", "global", "cnn-resnet"])
+    def test_per_grid_tapes_match_one_tape_oracle(self, small_sim, variant, batch_size):
+        """Trace and trained parameters equal the one-tape step's, bit for bit."""
+        cfg = TrainConfig(steps=3, batch_size=batch_size, seed=13)
+        model, oracle = small_model(seed=3, variant=variant), small_model(seed=3, variant=variant)
+        result = train(model, small_sim, cfg)
+        assert result.trace == one_tape_train(oracle, small_sim, cfg)
+        got, want = model.named_parameters(), oracle.named_parameters()
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name].data.tobytes() == want[name].data.tobytes(), name
+
+    def test_step_memory_does_not_grow_with_batch(self, small_sim):
+        """Only one grid's tape is alive at a time."""
+        def peak(batch_size):
+            model = small_model(seed=12)
+            cfg = TrainConfig(steps=1, batch_size=batch_size, seed=17)
+            train(model, small_sim, cfg)  # leave one-time allocations out of the peak
+            tracemalloc.start()
+            try:
+                train(small_model(seed=12), small_sim, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4) < 1.5 * peak(1)
+
+    @pytest.mark.parametrize("bad_grid", [0, 2])
+    def test_divergence_leaves_parameters_untouched(self, small_sim, monkeypatch, bad_grid):
+        """A non-finite loss in step 1 stops training before Adam moves anything."""
+        cfg = TrainConfig(steps=2, batch_size=3, seed=19)
+        clean = small_model(seed=14)
+        train(clean, small_sim, TrainConfig(steps=1, batch_size=3, seed=19))
+        original = trainer.bce_loss
+        calls = []
+
+        def poisoned(llr, bits, mask):
+            loss = original(llr, bits, mask)
+            calls.append(None)
+            # grids run last first, so grid b of step 1 is call 4 + (2 - b), counting from 1
+            return scale(loss, math.nan) if len(calls) == 4 + (2 - bad_grid) else loss
+
+        monkeypatch.setattr(trainer, "bce_loss", poisoned)
+        model = small_model(seed=14)
+        with pytest.raises(TrainingDiverged, match="step 1") as excinfo:
+            train(model, small_sim, cfg)
+        assert excinfo.value.step == 1
+        for name, tensor in model.named_parameters().items():
+            assert tensor.data.tobytes() == clean.named_parameters()[name].data.tobytes(), name
+
     def test_loss_decreases_over_short_run(self, small_sim):
         model = small_model(seed=5)
         result = train(model, small_sim, TrainConfig(steps=40, batch_size=4, seed=11))
         first = np.mean([row[1] for row in result.trace[:10]])
         last = np.mean([row[1] for row in result.trace[-10:]])
         assert last < first
+
+
+def one_tape_train(model, sim, cfg):
+    """Every grid of a step on one tape, summed first to last: the trace of `train`."""
+    params = model.named_parameters()
+    state = AdamState()
+    trace = []
+    for step in range(cfg.steps):
+        snrs, velocities = [], []
+        with Tape() as tape:
+            total = None
+            for b in range(cfg.batch_size):
+                grid, _, meta = sim.sample((cfg.seed, TRAIN_STREAM, step, b))
+                snrs.append(meta["snr_db"])
+                velocities.append(meta["velocity"])
+                loss_b = bce_loss(model.forward(grid), grid.bits, grid.data_mask)
+                total = loss_b if total is None else total + loss_b
+            loss = scale(total, 1.0 / cfg.batch_size)
+        grads = backward(loss, tape, leaves=list(params.values()))
+        adam_step(params, grads, state, cfg)
+        trace.append((step, loss.item(), float(np.mean(snrs)), float(np.mean(velocities))))
+    return trace
 
 
 class TestEvaluate:
