@@ -116,20 +116,19 @@ def _record(output: Tensor, inputs: tuple, grad_fn: Callable) -> Tensor:
     return output
 
 
-def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] | None = None) -> dict:
+def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor]) -> dict:
     """Reverse-sweep the tape from a scalar loss.
 
-    Returns a map Tensor -> float64 gradient array. With `leaves` given,
-    the map contains exactly those tensors, with zeros for any leaf the
-    recorded graph never touched; otherwise it contains every
-    requires_grad tensor reached from the loss. An intermediate gradient
-    is dropped as soon as its producing node has consumed it.
+    Returns a map Tensor -> float64 gradient array holding exactly the
+    tensors in `leaves`, with zeros for any leaf the recorded graph never
+    touched. An intermediate gradient is dropped as soon as its producing
+    node has consumed it.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    leaves = None if leaves is None else list(leaves)
-    kept = set(leaves or ())
+    leaves = list(leaves)
+    kept = set(leaves)
     for node in reversed(tape.nodes):
         out = node.output
         gout = grads.get(out) if out.requires_grad or out in kept else grads.pop(out, None)
@@ -142,9 +141,7 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor] | None = None) -
             if inp.requires_grad or inp._src_tape is tape.token:
                 held = grads.get(inp)
                 grads[inp] = gin if held is None else held + gin
-    if leaves is not None:
-        return {t: grads.get(t, np.zeros_like(t.data)) for t in leaves}
-    return {t: g for t, g in grads.items() if t.requires_grad}
+    return {t: grads.get(t, np.zeros_like(t.data)) for t in leaves}
 
 
 # ---------------------------------------------------------------------------

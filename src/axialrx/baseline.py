@@ -12,17 +12,9 @@ path and for the perfect-CSI reference receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .phy import Constellation, PilotPattern
-
-
-@dataclass
-class ChannelEstimate:
-    h_hat: np.ndarray  # (T, F, N_rx) complex
-    error_var: np.ndarray  # (T, F) real, >= 0
 
 
 def ls_estimate(y: np.ndarray, pilots: PilotPattern) -> np.ndarray:
@@ -51,8 +43,10 @@ def _uniform_pdp_correlation(f: int, subcarrier_spacing_hz: float,
 
 def lmmse_interpolate(pilot_estimates: np.ndarray, pilots: PilotPattern, t: int,
                       subcarrier_spacing_hz: float, assumed_delay_spread_s: float,
-                      n0: float) -> ChannelEstimate:
+                      n0: float) -> np.ndarray:
     """Separable Wiener-in-frequency, linear-in-time interpolation.
+
+    Returns the (T, F, N_rx) complex channel estimate.
 
     The frequency filter is W = R (R + N0 I)^{-1} with the uniform-PDP
     correlation R; regularization by N0 (floored away from zero) keeps the
@@ -67,9 +61,6 @@ def lmmse_interpolate(pilot_estimates: np.ndarray, pilots: PilotPattern, t: int,
     # W = R A^{-1}; A and R are Hermitian, so W = (A^{-1} R)^H
     w = np.linalg.solve(a, corr).conj().T
     filtered = np.einsum("kf,pfr->pkr", w, pilot_estimates)
-    # Wiener residual variance per subcarrier (same for every pilot symbol)
-    posterior = np.real(np.einsum("kf,fk->k", w, corr))
-    err_var_f = np.clip(corr[0, 0].real - posterior, 0.0, None)
 
     # time direction: linear between pilot symbols, constant outside
     pilot_ts = np.asarray(pilots.symbol_indices, dtype=float)
@@ -88,12 +79,10 @@ def lmmse_interpolate(pilot_estimates: np.ndarray, pilots: PilotPattern, t: int,
             frac = (n - pilot_ts[j]) / span
             weights[n, j] = 1.0 - frac
             weights[n, j + 1] = frac
-    h_hat = np.einsum("tp,pkr->tkr", weights, filtered)
-    err_var = np.broadcast_to(err_var_f, (t, f)).copy()
-    return ChannelEstimate(h_hat=h_hat, error_var=err_var)
+    return np.einsum("tp,pkr->tkr", weights, filtered)
 
 
-def mmse_equalize(y: np.ndarray, est: ChannelEstimate, n0: float) -> tuple[np.ndarray, np.ndarray]:
+def mmse_equalize(y: np.ndarray, h: np.ndarray, n0: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-RE MRC-MMSE combining: x_hat = h^H y / (h^H h + N0), nu = N0 / (h^H h + N0).
 
     Resource elements with an all-zero estimate emit x_hat = 0 with
@@ -101,7 +90,6 @@ def mmse_equalize(y: np.ndarray, est: ChannelEstimate, n0: float) -> tuple[np.nd
     """
     if n0 <= 0:
         raise ValueError(f"noise power must be positive, got {n0}")
-    h = est.h_hat
     energy = np.sum(np.abs(h) ** 2, axis=-1)
     numerator = np.sum(np.conj(h) * y, axis=-1)
     x_hat = numerator / (energy + n0)
@@ -150,15 +138,14 @@ def lmmse_receive(y: np.ndarray, pilots: PilotPattern, constellation: Constellat
                   assumed_delay_spread_s: float) -> np.ndarray:
     """Full classical chain: LS -> Wiener/linear interpolation -> MMSE -> max-log."""
     t = y.shape[0]
-    est = lmmse_interpolate(ls_estimate(y, pilots), pilots, t,
-                            subcarrier_spacing_hz, assumed_delay_spread_s, n0)
-    x_hat, nu = mmse_equalize(y, est, n0)
+    h_hat = lmmse_interpolate(ls_estimate(y, pilots), pilots, t,
+                              subcarrier_spacing_hz, assumed_delay_spread_s, n0)
+    x_hat, nu = mmse_equalize(y, h_hat, n0)
     return maxlog_demap(x_hat, nu, constellation)
 
 
 def perfect_csi_receive(y: np.ndarray, h: np.ndarray, n0: float,
                         constellation: Constellation) -> np.ndarray:
     """Genie receiver: MMSE combining with the true channel, then max-log."""
-    est = ChannelEstimate(h_hat=h, error_var=np.zeros(h.shape[:2]))
-    x_hat, nu = mmse_equalize(y, est, n0)
+    x_hat, nu = mmse_equalize(y, h, n0)
     return maxlog_demap(x_hat, nu, constellation)

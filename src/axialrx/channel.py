@@ -69,16 +69,9 @@ class TdlProfile:
         return TdlProfile(tuple(delays), tuple(powers), fd, rms_delay_spread_s)
 
 
-@dataclass
-class ChannelRealization:
-    h: np.ndarray  # (T, F, N_rx) complex frequency response
-    profile: TdlProfile
-    seed: object
-
-
 def generate(profile: TdlProfile, t: int, f: int, n_rx: int,
-             subcarrier_spacing_hz: float, seed, n_sinusoids: int = 32) -> ChannelRealization:
-    """Sample one channel realization on the T x F grid.
+             subcarrier_spacing_hz: float, seed, n_sinusoids: int = 32) -> np.ndarray:
+    """Sample one channel realization: the (T, F, N_rx) complex frequency response.
 
     Symbol timing uses the OFDM symbol duration 1/scs (cyclic prefix
     ignored). Antennas fade independently. Deterministic in (profile,
@@ -100,5 +93,4 @@ def generate(profile: TdlProfile, t: int, f: int, n_rx: int,
     subcarriers = np.arange(f)
     steering = np.exp(-2j * np.pi * np.outer(subcarriers * subcarrier_spacing_hz, delays))  # (F, taps)
     weighted = gains * np.sqrt(powers)[:, None, None]
-    h = np.einsum("lrt,fl->tfr", weighted, steering)
-    return ChannelRealization(h=h, profile=profile, seed=seed)
+    return np.einsum("lrt,fl->tfr", weighted, steering)

@@ -17,7 +17,7 @@ convention the core cost is exactly 4*(TF)^2*D for global attention and
 
 `layers.attend` runs the core in cache-sized chunks (groups of whole
 sequences, or blocks of query rows of one sequence). Chunking moves no
-FLOP: each chunk charges its two products to the `<bucket>_core` bucket
+FLOP: each chunk charges its two products to the `<block>#core` bucket
 and its softmax to the enclosing block, and the chunks partition the
 score matrix, so the instrumented counts equal these formulas unchanged.
 
@@ -120,19 +120,6 @@ class _ZeroGrid:
         self.n0 = 1.0
 
 
-def _group_counted(buckets: dict[str, int]) -> dict[str, int]:
-    grouped: dict[str, int] = {}
-    for name, count in buckets.items():
-        if name.endswith("_core"):
-            base = name.split(".", 1)[0]
-            key = f"{base}#core"
-        else:
-            key = name
-        grouped[key] = grouped.get(key, 0) + count
-    grouped.pop("other", None)
-    return grouped
-
-
 def model_report(cfg: ReceiverConfig, seed: int = 0, instrumented: bool = True,
                  model: Receiver | None = None) -> FlopsReport:
     """Analytic layer table plus, optionally, an instrumented forward count."""
@@ -154,10 +141,10 @@ def model_report(cfg: ReceiverConfig, seed: int = 0, instrumented: bool = True,
     if instrumented:
         with FlopCounter() as counter:
             model.forward(_ZeroGrid(cfg.t, cfg.f, cfg.n_rx))
-        report.counted_layers = _group_counted(counter.buckets)
+        report.counted_layers = counter.buckets
         report.counted_total = counter.total
         report.attention_counted = sum(
-            v for k, v in counter.buckets.items() if k.endswith("_core"))
+            v for k, v in counter.buckets.items() if k.endswith("#core"))
     return report
 
 

@@ -7,9 +7,12 @@ one fixed convention (multiply-accumulate = 2 FLOPs, see
 `axialrx.complexity` for the per-operation table) so that instrumented
 counts can be compared against analytic formulas exactly.
 
-Counts are kept per named bucket. Code wraps regions of interest with
+Counts are kept per named bucket, and this module is the only place that
+builds bucket names. Code wraps regions of interest with
 ``flopcount.bucket("name")``, which is a shared no-op context when no
-counter is active; anything outside an explicit bucket lands in "other".
+counter is active. Buckets nest by appending: inside ``bucket("block00")``
+the attention core's ``bucket("#core")`` counts to "block00#core".
+Anything outside every bucket lands in "other".
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ class FlopCounter:
     def __init__(self):
         self.total = 0
         self.buckets: dict[str, int] = {}
-        self._bucket = "other"
+        self._bucket = ""  # joined names of the open buckets
 
     def __enter__(self) -> "FlopCounter":
         _COUNTERS.append(self)
@@ -39,17 +42,18 @@ class FlopCounter:
 
     @contextmanager
     def bucket(self, name: str):
-        """Attribute counts to `name` for the duration of the block."""
+        """Append `name` to the open bucket for the duration of the block."""
         previous = self._bucket
-        self._bucket = name
+        self._bucket = previous + name
         try:
             yield self
         finally:
             self._bucket = previous
 
     def _add(self, n: int) -> None:
+        key = self._bucket or "other"
         self.total += n
-        self.buckets[self._bucket] = self.buckets.get(self._bucket, 0) + n
+        self.buckets[key] = self.buckets.get(key, 0) + n
 
 
 def add(n: int) -> None:

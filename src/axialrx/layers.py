@@ -129,7 +129,7 @@ class AttentionWeights:
         self.wo = _he_normal(rng, (d, d), d)
 
 
-def attend(x: Tensor, w: AttentionWeights, bucket: str = "attn") -> Tensor:
+def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     """Multi-head scaled dot-product attention over independent sequences.
 
     x: (S, L, D) of S sequences. Scores Q K^T / sqrt(d_h) are softmaxed per
@@ -141,10 +141,11 @@ def attend(x: Tensor, w: AttentionWeights, bucket: str = "attn") -> Tensor:
     CORE_CHUNK_SCORES scores, so each chunk's score block stays in cache:
     whole sequences are grouped while L*L fits under the cap, otherwise
     each sequence's query rows are split into blocks. Every chunk charges
-    its two products to `<bucket>_core` and its softmax (five FLOPs per
-    score) to the enclosing bucket, so the per-chunk counts sum to those of
-    one unchunked core. When one chunk covers the call (every desk-dims
-    axial call), no slice or concat is recorded.
+    its two products to `<block>#core`, a `#core` bucket nested in the
+    open one, and its softmax (five FLOPs per score) to the open bucket
+    itself, so the per-chunk counts sum to those of one unchunked core.
+    When one chunk covers the call (every desk-dims axial call), no slice
+    or concat is recorded.
     """
     s, length, d = x.shape
     h, dh = w.heads, w.head_dim
@@ -156,10 +157,10 @@ def attend(x: Tensor, w: AttentionWeights, bucket: str = "attn") -> Tensor:
         return reshape(transpose(grouped, (0, 2, 1, 3)), (n, length, dh))
 
     def core(qc: Tensor, ktc: Tensor, vc: Tensor) -> Tensor:
-        with flopcount.bucket(bucket + "_core"):
+        with flopcount.bucket("#core"):
             scores = bmm(qc, ktc)
         attn = softmax(scores, axis=-1, scale=c)
-        with flopcount.bucket(bucket + "_core"):
+        with flopcount.bucket("#core"):
             return bmm(attn, vc)
 
     x2 = reshape(x, (s * length, d))
@@ -185,23 +186,23 @@ def attend(x: Tensor, w: AttentionWeights, bucket: str = "attn") -> Tensor:
     return reshape(matmul(merged, w.wo), (s, length, d))
 
 
-def axial_time_attention(x: Tensor, w: AttentionWeights, bucket: str = "time") -> Tensor:
+def axial_time_attention(x: Tensor, w: AttentionWeights) -> Tensor:
     """Attention along the time axis, independently per subcarrier."""
     columns = transpose(x, (1, 0, 2))  # (F, T, D)
-    out = attend(columns, w, bucket=bucket)
+    out = attend(columns, w)
     return transpose(out, (1, 0, 2))
 
 
-def axial_freq_attention(x: Tensor, w: AttentionWeights, bucket: str = "freq") -> Tensor:
+def axial_freq_attention(x: Tensor, w: AttentionWeights) -> Tensor:
     """Attention along the frequency axis, independently per OFDM symbol."""
-    return attend(x, w, bucket=bucket)  # (T, F, D) is already T sequences
+    return attend(x, w)  # (T, F, D) is already T sequences
 
 
-def global_mhsa(x: Tensor, w: AttentionWeights, bucket: str = "global") -> Tensor:
+def global_mhsa(x: Tensor, w: AttentionWeights) -> Tensor:
     """Attention over the flattened length-T*F sequence."""
     t, f, d = x.shape
     flat = reshape(x, (1, t * f, d))
-    return reshape(attend(flat, w, bucket=bucket), (t, f, d))
+    return reshape(attend(flat, w), (t, f, d))
 
 
 class LayerNormParams:
@@ -242,9 +243,9 @@ class AxialBlock:
         self.ln3 = LayerNormParams(cfg.d)
         self.ffn = FeedForward(cfg.d, cfg.ffn_hidden, rng)
 
-    def __call__(self, x: Tensor, bucket: str = "block") -> Tensor:
-        x = x + axial_time_attention(self.ln1(x), self.time, bucket=f"{bucket}.time")
-        x = x + axial_freq_attention(self.ln2(x), self.freq, bucket=f"{bucket}.freq")
+    def __call__(self, x: Tensor) -> Tensor:
+        x = x + axial_time_attention(self.ln1(x), self.time)
+        x = x + axial_freq_attention(self.ln2(x), self.freq)
         return x + self.ffn(self.ln3(x))
 
 
@@ -257,8 +258,8 @@ class GlobalBlock:
         self.ln2 = LayerNormParams(cfg.d)
         self.ffn = FeedForward(cfg.d, cfg.ffn_hidden, rng)
 
-    def __call__(self, x: Tensor, bucket: str = "block") -> Tensor:
-        x = x + global_mhsa(self.ln1(x), self.att, bucket=f"{bucket}.att")
+    def __call__(self, x: Tensor) -> Tensor:
+        x = x + global_mhsa(self.ln1(x), self.att)
         return x + self.ffn(self.ln2(x))
 
 
@@ -283,7 +284,7 @@ class ResNetUnit:
         self.conv1 = ConvLayer(3, channels, channels, rng)
         self.conv2 = ConvLayer(3, channels, channels, rng)
 
-    def __call__(self, x: Tensor, bucket: str = "unit") -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         return x + self.conv2(relu(self.conv1(self.ln(x))))
 
 
@@ -322,9 +323,8 @@ class Receiver:
             with flopcount.bucket("pos"):
                 x = x + self.pos
         for i, block in enumerate(self.blocks):
-            name = f"block{i:02d}"
-            with flopcount.bucket(name):
-                x = block(x, bucket=name)
+            with flopcount.bucket(f"block{i:02d}"):
+                x = block(x)
         with flopcount.bucket("output_conv"):
             return self.output_conv(x)
 

@@ -5,11 +5,11 @@ duplicate edges are repaired by stub swaps, several candidates are drawn,
 and the one with the fewest 4-cycles that also keeps the GF(2) rank
 deficiency at most one (rate within 0.01 of one half) wins. Candidates stay
 edge lists (the columns of each check) while their 4-cycles are counted;
-a candidate is densified into H only for the GF(2) rank test, so at most
-one dense candidate is alive at a time and the code keeps none. The encoder
-comes from the reduced row echelon form of H: free columns carry the
-information bits, pivot columns are parity solved by a bit-packed GF(2)
-back-substitution block.
+a candidate becomes byte-packed rows of H only for the GF(2) rank test, so
+at most one packed candidate is alive at a time, no dense H is ever built
+and the code keeps none. The encoder comes from the reduced row echelon
+form of H: free columns carry the information bits, pivot columns are
+parity solved by a bit-packed GF(2) back-substitution block.
 
 Decoding is one batched normalized min-sum kernel over (B, n) LLRs;
 `decode` runs it on a single row and `decode_info` on one row or a stack.
@@ -107,10 +107,18 @@ def _count_four_cycles(row_cols: np.ndarray, n: int) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
-def _gf2_rref(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2) on byte-packed rows."""
-    m, n = h.shape
-    packed = np.packbits(h, axis=1)
+def _packed_h(row_cols: np.ndarray, n: int) -> np.ndarray:
+    """H as (m, ceil(n/8)) byte-packed rows, bit 7 - c % 8 of byte c // 8."""
+    m = row_cols.shape[0]
+    packed = np.zeros((m, (n + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (np.arange(m)[:, None], row_cols >> 3),
+                     (0x80 >> (row_cols & 7)).astype(np.uint8))
+    return packed
+
+
+def _gf2_rref(packed: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(2) of n-column byte-packed rows, in place."""
+    m = packed.shape[0]
     pivots: list[int] = []
     r = 0
     for c in range(n):
@@ -131,7 +139,7 @@ def _gf2_rref(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
             packed[hit] ^= packed[r]
         pivots.append(c)
         r += 1
-    return np.unpackbits(packed, axis=1, count=n), pivots
+    return packed, pivots
 
 
 def construct(n: int, col_weight: int = 3, seed: int = 0, tries: int = 60) -> LdpcCode:
@@ -150,9 +158,7 @@ def construct(n: int, col_weight: int = 3, seed: int = 0, tries: int = 60) -> Ld
             candidates.append((_count_four_cycles(row_cols, n), row_cols))
     candidates.sort(key=lambda pair: pair[0])
     for cycles, row_cols in candidates:
-        h = np.zeros((m, n), dtype=np.uint8)
-        h[np.arange(m)[:, None], row_cols] = 1
-        rref, pivots = _gf2_rref(h)
+        rref, pivots = _gf2_rref(_packed_h(row_cols, n), n)
         rank = len(pivots)
         k = n - rank
         if m - rank > 1 or abs(k / n - RATE_TARGET) > RATE_TOLERANCE:
@@ -168,7 +174,11 @@ def _assemble(n: int, rref: np.ndarray, pivots: list[int], cycles: int,
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
     info_cols = np.setdiff1d(np.arange(n), pivot_cols)
-    back_sub = np.packbits(np.take(rref[:rank], info_cols, axis=1), axis=1)
+    # bit c of every pivot row, gathered from the packed RREF for the info columns
+    info_bits = np.take(rref[:rank], info_cols >> 3, axis=1)
+    info_bits >>= (7 - (info_cols & 7)).astype(np.uint8)
+    info_bits &= 1
+    back_sub = np.packbits(info_bits, axis=1)
 
     # A stable sort of the row-major edge list by column lists each
     # column's edges in ascending row order.

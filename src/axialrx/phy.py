@@ -126,7 +126,6 @@ class ResourceGrid:
     """One received grid plus the ground truth needed for training."""
 
     y: np.ndarray  # (T, F, N_rx) complex received samples
-    x: np.ndarray  # (T, F) complex transmitted symbols
     bits: np.ndarray  # (T, F, bits_per_symbol) coded bits, zero at pilots
     pilot_mask: np.ndarray  # (T, F) bool
     n0: float
@@ -197,7 +196,6 @@ def make_grid(codeword: np.ndarray, cfg: LinkConfig, h: np.ndarray, n0: float,
     mask = pilots.mask(cfg.t, cfg.f)
     return ResourceGrid(
         y=apply_channel(x, h, n0, rng),
-        x=x,
         bits=bits_to_grid(codeword, mask, cfg.bits_per_symbol),
         pilot_mask=mask,
         n0=n0,

@@ -30,6 +30,9 @@ from .layers import Receiver
 
 TRAIN_STREAM = 101
 EVAL_STREAM = 202
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -45,9 +48,6 @@ class TrainConfig:
     steps: int = 500
     batch_size: int = 8
     learning_rate: float = 5e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     checkpoint_every: int = 0  # 0 = only the final state is kept
 
@@ -125,7 +125,7 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
               state: AdamState, cfg: TrainConfig) -> None:
     """Standard Adam with bias correction; parameters update in place."""
     state.t += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     correction1 = 1.0 - b1 ** state.t
     correction2 = 1.0 - b2 ** state.t
     for name in sorted(params):
@@ -143,21 +143,16 @@ def adam_step(params: dict[str, Tensor], grads: dict[Tensor, np.ndarray],
         v += (1.0 - b2) * g * g
         m_hat = m / correction1
         v_hat = v / correction2
-        tensor.data = tensor.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        tensor.data = tensor.data - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class LinkSimulator:
     """Seeded generator of received grids for one link configuration."""
 
-    def __init__(self, link: phy.LinkConfig, code: ldpc_mod.LdpcCode | None = None,
-                 n_taps: int = 8, n_sinusoids: int = 32):
+    def __init__(self, link: phy.LinkConfig, n_taps: int = 8, n_sinusoids: int = 32):
         self.link = link
         self.pilots = link.pilots()
-        self.code = code if code is not None else ldpc_mod.construct(
-            link.n_coded_bits, col_weight=3, seed=link.pilot_seed)
-        if self.code.n != link.n_coded_bits:
-            raise ValueError(f"code length {self.code.n} does not fill the "
-                             f"{link.n_coded_bits}-bit grid payload")
+        self.code = ldpc_mod.construct(link.n_coded_bits, col_weight=3, seed=link.pilot_seed)
         self.n_taps = n_taps
         self.n_sinusoids = n_sinusoids
 
@@ -176,15 +171,14 @@ class LinkSimulator:
             spread = 0.0
         profile = channel_mod.TdlProfile.make(spread, velocity, link.carrier_hz,
                                               n_taps=1 if static_flat else self.n_taps)
-        realization = channel_mod.generate(profile, link.t, link.f, link.n_rx,
-                                           link.subcarrier_spacing_hz, seed=rng,
-                                           n_sinusoids=self.n_sinusoids)
+        h = channel_mod.generate(profile, link.t, link.f, link.n_rx,
+                                 link.subcarrier_spacing_hz, seed=rng,
+                                 n_sinusoids=self.n_sinusoids)
         info = rng.integers(0, 2, self.code.k).astype(np.uint8)
         codeword = ldpc_mod.encode(self.code, info)
         n0 = phy.snr_to_n0(snr)
-        grid = phy.make_grid(codeword, link, realization.h, n0, rng, pilots=self.pilots)
-        meta = {"snr_db": snr, "velocity": velocity, "delay_spread": spread,
-                "h": realization.h}
+        grid = phy.make_grid(codeword, link, h, n0, rng, pilots=self.pilots)
+        meta = {"snr_db": snr, "velocity": velocity, "delay_spread": spread, "h": h}
         return grid, info, meta
 
 
@@ -253,14 +247,13 @@ def neural_receiver(model: Receiver) -> ReceiverFn:
     return run
 
 
-def lmmse_receiver(link: phy.LinkConfig, assumed_delay_spread_s: float | None = None) -> ReceiverFn:
+def lmmse_receiver(link: phy.LinkConfig) -> ReceiverFn:
     from .baseline import lmmse_receive
 
     constellation = link.constellation()
     pilots = link.pilots()
-    # mismatched-by-default assumption: midpoint of the configured range
-    assumed = (assumed_delay_spread_s if assumed_delay_spread_s is not None
-               else 0.5 * (link.delay_spread_s[0] + link.delay_spread_s[1]))
+    # mismatched assumption: midpoint of the configured range
+    assumed = 0.5 * (link.delay_spread_s[0] + link.delay_spread_s[1])
 
     def run(grid: phy.ResourceGrid, meta: dict) -> np.ndarray:
         return lmmse_receive(grid.y, pilots, constellation, grid.n0,

@@ -253,14 +253,14 @@ class TestBackward:
         x = Tensor(np.random.default_rng(10).standard_normal((3, 4)), requires_grad=True)
         with Tape() as tape:
             loss = sum_all(x)
-        grads = backward(loss, tape)
+        grads = backward(loss, tape, leaves=[x])
         np.testing.assert_array_equal(grads[x], np.ones((3, 4)))
 
     def test_sum_of_squares(self):
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
         with Tape() as tape:
             loss = sum_all(x * x)
-        grads = backward(loss, tape)
+        grads = backward(loss, tape, leaves=[x])
         np.testing.assert_allclose(grads[x], [2.0, 4.0, 6.0], atol=1e-14)
 
     def test_non_scalar_loss_rejected(self):
@@ -268,7 +268,7 @@ class TestBackward:
         with Tape() as tape:
             y = x * x
         with pytest.raises(ValueError, match="scalar"):
-            backward(y, tape)
+            backward(y, tape, leaves=[x])
 
     def test_untouched_leaf_gets_zeros(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -282,7 +282,7 @@ class TestBackward:
         x = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
             loss = sum_all(x * x + x * x)  # d/dx 2x^2 = 4x
-        grads = backward(loss, tape)
+        grads = backward(loss, tape, leaves=[x])
         np.testing.assert_allclose(grads[x], [8.0], atol=1e-14)
 
     def test_composite_graph_matches_finite_differences(self):
@@ -391,7 +391,7 @@ class TestTapeBehavior:
         try:
             with Tape() as tape:
                 loss = sum_all(softmax(x * x, axis=0))
-            backward(loss, tape)
+            backward(loss, tape, leaves=[x])
             assert len(tape.nodes) == 3
             ref = weakref.ref(tape)
             del tape
@@ -409,7 +409,7 @@ class TestTapeBehavior:
             loss = sum_all(h)
         tracemalloc.start()
         try:
-            grads = backward(loss, tape)
+            grads = backward(loss, tape, leaves=[x])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -47,24 +47,24 @@ class TestProfile:
 class TestGenerate:
     def test_static_flat_channel(self):
         p = TdlProfile((0.0,), (1.0,), doppler_hz=0.0, rms_delay_spread_s=0.0)
-        r = generate(p, t=14, f=24, n_rx=2, subcarrier_spacing_hz=SCS, seed=0)
+        h = generate(p, t=14, f=24, n_rx=2, subcarrier_spacing_hz=SCS, seed=0)
         # constant over time and flat over frequency
-        reference = np.broadcast_to(r.h[0:1, 0:1, :], r.h.shape)
-        np.testing.assert_allclose(r.h, reference, atol=1e-14)
+        reference = np.broadcast_to(h[0:1, 0:1, :], h.shape)
+        np.testing.assert_allclose(h, reference, atol=1e-14)
 
     def test_single_tap_is_flat_over_frequency(self):
         p = TdlProfile((0.0,), (1.0,), doppler_hz=500.0, rms_delay_spread_s=0.0)
-        r = generate(p, t=14, f=24, n_rx=1, subcarrier_spacing_hz=SCS, seed=1)
-        reference = np.broadcast_to(np.abs(r.h[:, 0:1, :]), r.h.shape)
-        np.testing.assert_allclose(np.abs(r.h), reference, atol=1e-14)
+        h = generate(p, t=14, f=24, n_rx=1, subcarrier_spacing_hz=SCS, seed=1)
+        reference = np.broadcast_to(np.abs(h[:, 0:1, :]), h.shape)
+        np.testing.assert_allclose(np.abs(h), reference, atol=1e-14)
 
     def test_determinism(self):
         p = TdlProfile.make(60e-9, velocity_mps=30.0)
         a = generate(p, 14, 24, 2, SCS, seed=42)
         b = generate(p, 14, 24, 2, SCS, seed=42)
-        np.testing.assert_array_equal(a.h, b.h)
+        np.testing.assert_array_equal(a, b)
         c = generate(p, 14, 24, 2, SCS, seed=43)
-        assert not np.array_equal(a.h, c.h)
+        assert not np.array_equal(a, c)
 
     def test_unit_power_and_jakes_autocorrelation(self):
         """Monte Carlo over 1e4 realizations vs the J0 oracle."""
@@ -75,7 +75,7 @@ class TestGenerate:
         acc = np.zeros((t,), dtype=complex)
         power = 0.0
         for trial in range(n_trials):
-            h = generate(p, t, 1, 1, SCS, seed=trial).h[:, 0, 0]
+            h = generate(p, t, 1, 1, SCS, seed=trial)[:, 0, 0]
             acc += h[0].conj() * h
             power += np.mean(np.abs(h) ** 2)
         power /= n_trials
@@ -90,7 +90,7 @@ class TestGenerate:
         acc1 = acc2 = 0.0
         norm = 0.0
         for trial in range(400):
-            h = generate(p, 1, 128, 1, SCS, seed=trial).h[0, :, 0]
+            h = generate(p, 1, 128, 1, SCS, seed=trial)[0, :, 0]
             acc1 += np.mean(h[:-4] * np.conj(h[4:]))
             acc2 += np.mean(h[:-96] * np.conj(h[96:]))
             norm += np.mean(np.abs(h) ** 2)
@@ -99,7 +99,7 @@ class TestGenerate:
 
     def test_antennas_fade_independently(self):
         p = TdlProfile((0.0,), (1.0,), doppler_hz=200.0, rms_delay_spread_s=0.0)
-        samples = np.array([generate(p, 1, 1, 2, SCS, seed=s).h[0, 0] for s in range(4000)])
+        samples = np.array([generate(p, 1, 1, 2, SCS, seed=s)[0, 0] for s in range(4000)])
         corr = np.abs(np.mean(samples[:, 0] * np.conj(samples[:, 1])))
         assert corr < 0.05
 
