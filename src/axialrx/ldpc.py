@@ -8,8 +8,9 @@ edge lists (the columns of each check) while their 4-cycles are counted;
 a candidate becomes byte-packed rows of H only for the GF(2) rank test, so
 at most one packed candidate is alive at a time, no dense H is ever built
 and the code keeps none. The encoder comes from the reduced row echelon
-form of H: free columns carry the information bits, pivot columns are
-parity solved by a bit-packed GF(2) back-substitution block.
+form of H, eliminated 8 columns (one byte) at a time on the packed rows:
+free columns carry the information bits, pivot columns are parity solved
+by a bit-packed GF(2) back-substitution block.
 
 Decoding is one batched normalized min-sum kernel over (B, n) LLRs;
 `decode` runs it on a single row and `decode_info` on one row or a stack.
@@ -116,29 +117,77 @@ def _packed_h(row_cols: np.ndarray, n: int) -> np.ndarray:
     return packed
 
 
-def _gf2_rref(packed: np.ndarray, n: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over GF(2) of n-column byte-packed rows, in place."""
-    m = packed.shape[0]
+def _gf2_rref(packed: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form over GF(2) of byte-packed rows, in place.
+
+    Rows are packed as `_packed_h` packs them, with zero bits past the last
+    column; the pivots are column indices.
+
+    Gauss-Jordan one byte panel (8 columns) at a time, Four-Russians style.
+    Rows r.. are zero left of panel b, so their panel bytes alone give the
+    panel's pivots: up to 8 rows whose bytes are independent are moved to
+    r..r+k-1, a table of the 2^k XORs of those rows (from byte b on) is
+    built, and one table row clears the pivot bits of each other row. The
+    RREF over GF(2) is unique, so which rows are picked does not matter.
+    """
+    m, width = packed.shape
     pivots: list[int] = []
     r = 0
-    for c in range(n):
+    for b in range(width):
         if r >= m:
             break
-        byte, shift = c >> 3, 7 - (c & 7)
-        column = (packed[:, byte] >> shift) & 1
-        candidates = np.flatnonzero(column[r:])
-        if candidates.size == 0:
+        column = packed[:, b].copy()
+        values = np.flatnonzero(np.bincount(column[r:], minlength=256)[1:]) + 1
+        # Gauss-Jordan on plain ints: reduced[bit] is the reduced byte with
+        # pivot `bit` and the mask of the picked bytes it is the XOR of.
+        reduced: dict[int, tuple[int, int]] = {}
+        picked: list[int] = []
+        for value in values.tolist():
+            byte, mask = value, 1 << len(picked)
+            for bit, (other, other_mask) in reduced.items():
+                if byte & bit:
+                    byte ^= other
+                    mask ^= other_mask
+            if not byte:
+                continue
+            lead = 1 << (byte.bit_length() - 1)
+            for bit, (other, other_mask) in reduced.items():
+                if other & lead:
+                    reduced[bit] = (other ^ byte, other_mask ^ mask)
+            reduced[lead] = (byte, mask)
+            picked.append(value)
+            if len(picked) == 8:
+                break
+        k = len(picked)
+        if not k:
             continue
-        swap = r + candidates[0]
-        if swap != r:
-            packed[[r, swap]] = packed[[swap, r]]
-            column[[r, swap]] = column[[swap, r]]
-        hit = np.flatnonzero(column)
-        hit = hit[hit != r]
-        if hit.size:
-            packed[hit] ^= packed[r]
-        pivots.append(c)
-        r += 1
+        # Move the first row holding each picked byte up to r..r+k-1.
+        wanted = np.array(picked, dtype=np.uint8)[:, None]
+        rows = (r + (wanted == column[r:]).argmax(axis=1)).tolist()
+        top = list(range(r, r + k))
+        dst = top + [p for p in rows if p >= r + k]
+        src = rows + [t for t in top if t not in rows]
+        packed[dst, b:] = packed[src, b:]
+        column[dst] = column[src]
+        # table[mask] is the XOR of the picked rows in `mask`.
+        table = np.zeros((1 << k, width - b), dtype=np.uint8)
+        for i in range(k):
+            np.bitwise_xor(table[:1 << i], packed[r + i, b:], out=table[1 << i:2 << i])
+        order = sorted(reduced, reverse=True)  # leftmost column first
+        packed[r:r + k, b:] = table[[reduced[bit][1] for bit in order]]
+        # lut[byte] is the mask whose table row clears the pivot bits of `byte`.
+        lut = np.zeros(256, dtype=np.uint8)
+        for j in range(8):
+            lut[1 << j:2 << j] = lut[:1 << j] ^ reduced.get(1 << j, (0, 0))[1]
+        idx = np.take(lut, column)
+        idx[r:r + k] = 0
+        hit = np.flatnonzero(idx)
+        # Gather, XOR and write back: `packed[hit, b:] ^= ...` is slower.
+        x = np.take(table, idx[hit], axis=0)
+        x ^= packed[hit, b:]
+        packed[hit, b:] = x
+        pivots += [8 * b + 8 - bit.bit_length() for bit in order]
+        r += k
     return packed, pivots
 
 
@@ -158,7 +207,7 @@ def construct(n: int, col_weight: int = 3, seed: int = 0, tries: int = 60) -> Ld
             candidates.append((_count_four_cycles(row_cols, n), row_cols))
     candidates.sort(key=lambda pair: pair[0])
     for cycles, row_cols in candidates:
-        rref, pivots = _gf2_rref(_packed_h(row_cols, n), n)
+        rref, pivots = _gf2_rref(_packed_h(row_cols, n))
         rank = len(pivots)
         k = n - rank
         if m - rank > 1 or abs(k / n - RATE_TARGET) > RATE_TOLERANCE:

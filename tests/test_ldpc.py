@@ -21,12 +21,18 @@ from axialrx.ldpc import (
 from helpers import dense_h
 
 
-def gf2_rank_oracle(h: np.ndarray) -> int:
-    """Plain boolean Gaussian elimination, independent of the packed path."""
+def gf2_rref_oracle(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Plain boolean Gauss-Jordan elimination, independent of the packed path.
+
+    Returns the reduced row echelon form as a bool array and its pivot columns.
+    """
     work = h.astype(bool).copy()
     m, n = work.shape
-    rank = 0
+    pivots: list[int] = []
     for c in range(n):
+        rank = len(pivots)
+        if rank == m:
+            break
         rows = np.flatnonzero(work[rank:, c])
         if rows.size == 0:
             continue
@@ -35,10 +41,44 @@ def gf2_rank_oracle(h: np.ndarray) -> int:
         for r in range(m):
             if r != rank and work[r, c]:
                 work[r] ^= work[rank]
-        rank += 1
-        if rank == m:
-            break
-    return rank
+        pivots.append(c)
+    return work, pivots
+
+
+@st.composite
+def gf2_matrices(draw) -> np.ndarray:
+    """(m, n) bool matrices: any n % 8, m above or below n, sparse to dense
+    fills, optional low rank, all-zero and duplicated rows."""
+    m, n = draw(st.integers(1, 48)), draw(st.integers(1, 100))
+    density = draw(st.sampled_from([0.02, 0.1, 0.5, 0.9]))
+    inner = draw(st.one_of(st.none(), st.integers(0, 10)))
+    zero_rows, duplicate_rows = draw(st.integers(0, m)), draw(st.integers(0, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.random((m, n)) < density
+    if inner is not None:  # rank <= inner: a GF(2) product through `inner` rows
+        mix = rng.integers(0, 2, (m, inner))
+        h = (mix @ (rng.random((inner, n)) < density)) % 2 == 1
+    h[rng.integers(0, m, zero_rows)] = False
+    h[rng.integers(0, m, duplicate_rows)] = h[rng.integers(0, m, duplicate_rows)]
+    return h
+
+
+_rng = np.random.default_rng(2024)
+RREF_EDGE_CASES = {"all-zero": np.zeros((6, 13), dtype=bool),
+                   "one-row-repeated": np.tile(_rng.random(37) < 0.5, (9, 1)),
+                   "tall": _rng.random((30, 5)) < 0.5,
+                   "dense-full-panels": _rng.random((40, 96)) < 0.5,
+                   "sparse-empty-columns": _rng.random((48, 100)) < 0.02}
+
+
+def assert_rref_matches_oracle(h: np.ndarray) -> None:
+    n = h.shape[1]
+    rref, pivots = ldpc._gf2_rref(np.packbits(h, axis=1))
+    expected, expected_pivots = gf2_rref_oracle(h)
+    bits = np.unpackbits(rref, axis=1)
+    np.testing.assert_array_equal(bits[:, :n], expected)
+    assert not bits[:, n:].any()
+    assert pivots == expected_pivots
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +91,13 @@ def code576():
     return construct(576, col_weight=3, seed=5, tries=20)
 
 
+@pytest.fixture(scope="module")
+def small_codes():
+    """Codes of several even lengths and seeds, keyed by (n, seed)."""
+    return {(n, seed): construct(n, col_weight=3, seed=seed)
+            for n in (48, 96, 192, 576) for seed in range(3)}
+
+
 class TestConstruct:
     def test_dimensions_and_rate(self, code48):
         assert dense_h(code48).shape == (24, 48)
@@ -61,7 +108,7 @@ class TestConstruct:
         np.testing.assert_array_equal(dense_h(code48).sum(axis=1), np.full(24, 6))
 
     def test_rank_matches_elimination_oracle(self, code48):
-        assert gf2_rank_oracle(dense_h(code48)) == code48.n - code48.k
+        assert len(gf2_rref_oracle(dense_h(code48))[1]) == code48.n - code48.k
 
     def test_determinism(self):
         a = construct(48, col_weight=3, seed=9)
@@ -71,7 +118,7 @@ class TestConstruct:
     def test_larger_code(self, code576):
         assert dense_h(code576).shape == (288, 576)
         assert abs(code576.rate - 0.5) <= 0.01
-        assert gf2_rank_oracle(dense_h(code576)) == code576.n - code576.k
+        assert len(gf2_rref_oracle(dense_h(code576))[1]) == code576.n - code576.k
 
     def test_adjacency_is_consistent(self, code576):
         n = code576.n
@@ -85,6 +132,19 @@ class TestConstruct:
             construct(49, col_weight=3, seed=0)
         with pytest.raises(LdpcConstructionError):
             construct(48, col_weight=1, seed=0)
+
+
+class TestRref:
+    """The byte-panel packed RREF against the boolean oracle, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=gf2_matrices())
+    def test_matches_boolean_oracle(self, h):
+        assert_rref_matches_oracle(h)
+
+    @pytest.mark.parametrize("name", RREF_EDGE_CASES)
+    def test_edge_cases_match_boolean_oracle(self, name):
+        assert_rref_matches_oracle(RREF_EDGE_CASES[name])
 
 
 class TestEncode:
@@ -107,6 +167,15 @@ class TestEncode:
             direct = (dense_h(code48).astype(np.int64) @ c.astype(np.int64)) % 2
             assert not direct.any()
             assert not syndrome(code48, c).any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([48, 96, 192, 576]), seed=st.integers(0, 2))
+    def test_codeword_has_zero_syndrome_and_carries_info(self, small_codes, data, n, seed):
+        code = small_codes[n, seed]
+        u = data.draw(arrays(np.uint8, code.k, elements=st.integers(0, 1)))
+        c = encode(code, u)
+        assert not syndrome(code, c).any()
+        np.testing.assert_array_equal(c[code.info_cols], u)
 
     def test_wrong_length_rejected(self, code48):
         with pytest.raises(ValueError):
@@ -354,12 +423,20 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def encoder_hashes(code) -> tuple[str, str, str]:
+    """sha256 of the bytes of `back_sub` (uint8), `pivot_cols` and `info_cols` (int64)."""
+    return tuple(sha256(a.tobytes()) for a in (code.back_sub, code.pivot_cols, code.info_cols))
+
+
 class TestGoldenCodes:
     """The same seed must keep giving the same code, bit for bit.
 
     The hashes were recorded from the dense-candidate construction, so they
     pin the sampler's RNG draws, the 4-cycle ranking, the rank test and
-    the alist text across any rewrite of the construction path.
+    the alist text across any rewrite of the construction path. The
+    encoder arrays (`back_sub`, `pivot_cols`, `info_cols`) come straight
+    from the GF(2) RREF; their hashes were recorded from the one-column-
+    per-step elimination, so they pin its output bit for bit.
     """
 
     @pytest.mark.parametrize("n, seed, alist_sha, k, cycles", [
@@ -371,11 +448,21 @@ class TestGoldenCodes:
         assert (code.k, code.four_cycles) == (k, cycles)
         assert sha256(to_alist(code).encode()) == alist_sha
 
+    def test_desk_encoder_arrays(self):
+        assert encoder_hashes(construct(576, col_weight=3, seed=7)) == (
+            "e510e5522f483c2c54b2a643b0e3dd4a8e276d2c21e0ef3a16fa57e0060e63af",
+            "dec2b7cab191240888b85e4afe3b8d78d25040422511e5c4c7b27572f70d8b23",
+            "9c7adf440184f820fb84130dfa9f5406653accbb859b088e126324544c0d124e")
+
     def test_paper_code_and_codeword(self):
         code = construct(9216, col_weight=3, seed=7)
         assert (code.k, code.four_cycles) == (4608, 12)
         assert sha256(to_alist(code).encode()) == (
             "b97a1b8bed071add039dfbc811fdfb719a2e0ca2c3a46f3890eeabe39bc32fe4")
+        assert encoder_hashes(code) == (
+            "236022f4ac9361d61497e8a6a42afd08c38e29f6d5cc260e8bf4fb88c7d60581",
+            "8f33fe11e0544610db143f5ca3fd3c24b064b312267cc0712a001a0678ea754a",
+            "74303c996fb0f07b8f71e1ca8f86f935dd834732048a7038dfcdf051d97924f3")
         u = np.random.default_rng(2026).integers(0, 2, code.k).astype(np.uint8)
         c = encode(code, u)
         assert sha256(c.tobytes()) == (
