@@ -27,6 +27,7 @@ class DimensionError(ValueError):
 
 
 _TAPES: list["Tape"] = []  # active tapes, innermost last
+LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
@@ -60,17 +61,8 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
 
 class Node:
@@ -196,13 +188,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (g, g))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    flopcount.add(a.size)
-    out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
     flopcount.add(a.size)
@@ -227,7 +212,7 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     lead = tuple(range(x.ndim - 1))
 
     def grad_fn(g):
-        return g, g.sum(axis=lead) if lead else g
+        return g, g.sum(axis=lead)
 
     return _record(out, (x, b), grad_fn)
 
@@ -266,9 +251,7 @@ def slice_(x: Tensor, key) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def transpose(x: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(x.ndim)))
+def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.transpose(axes))
     inverse = tuple(np.argsort(axes))
     return _record(out, (x,), lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
@@ -355,7 +338,7 @@ def bce_with_logits(x: Tensor, bits: np.ndarray, mask: np.ndarray) -> Tensor:
     return _record(out, (x,), grad_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance, then affine."""
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
@@ -366,7 +349,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv_std
     out = Tensor(xhat * gamma.data + beta.data)
     gd = gamma.data
@@ -377,9 +360,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         gx = inv_std * (
             gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
         )
-        ggamma = (g * xhat).sum(axis=lead) if lead else g * xhat
-        gbeta = g.sum(axis=lead) if lead else g
-        return gx, ggamma, gbeta
+        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
     return _record(out, (x, gamma, beta), grad_fn)
 

@@ -63,22 +63,16 @@ def lmmse_interpolate(pilot_estimates: np.ndarray, pilots: PilotPattern, t: int,
     filtered = np.einsum("kf,pfr->pkr", w, pilot_estimates)
 
     # time direction: linear between pilot symbols, constant outside
-    pilot_ts = np.asarray(pilots.symbol_indices, dtype=float)
-    weights = np.zeros((t, p))
-    for n in range(t):
-        if p == 1:
-            weights[n, 0] = 1.0
-            continue
-        if n <= pilot_ts[0]:
-            weights[n, 0] = 1.0
-        elif n >= pilot_ts[-1]:
-            weights[n, -1] = 1.0
-        else:
-            j = np.searchsorted(pilot_ts, n) - 1
-            span = pilot_ts[j + 1] - pilot_ts[j]
-            frac = (n - pilot_ts[j]) / span
-            weights[n, j] = 1.0 - frac
-            weights[n, j + 1] = frac
+    if p == 1:
+        weights = np.ones((t, 1))
+    else:
+        pilot_ts = np.asarray(pilots.symbol_indices, dtype=float)
+        n = np.arange(t)
+        j = np.clip(np.searchsorted(pilot_ts, n) - 1, 0, p - 2)  # left pilot of n's span
+        frac = np.clip((n - pilot_ts[j]) / (pilot_ts[j + 1] - pilot_ts[j]), 0.0, 1.0)
+        weights = np.zeros((t, p))
+        weights[n, j] = 1.0 - frac
+        weights[n, j + 1] = frac
     return np.einsum("tp,pkr->tkr", weights, filtered)
 
 

@@ -140,8 +140,10 @@ def apply_seed_overrides(config: dict[str, dict], cli_seed: int | None) -> None:
     if env_seed is not None:
         try:
             seed = int(env_seed)
+            if seed < 0:
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"AXRX_SEED must be an integer, got {env_seed!r}")
+            raise ConfigError(f"AXRX_SEED must be a non-negative integer, got {env_seed!r}")
         config["train"]["seed"] = seed
         config["eval"]["seed"] = seed
     if cli_seed is not None:
@@ -177,9 +179,11 @@ def _check_link(config: dict[str, dict]) -> None:
         if not 0 <= index < t:
             raise ConfigError(f"[link] pilot_symbols: index {index} outside "
                               f"[0, {t}) for ofdm_symbols = {t}")
-    if len(set(pilots)) != len(pilots) or len(pilots) >= t:
+    if list(pilots) != sorted(set(pilots)) or len(pilots) >= t:
         raise ConfigError(f"[link] pilot_symbols {','.join(map(str, pilots))} must be "
-                          f"distinct and leave a data symbol among {t}")
+                          f"increasing and leave a data symbol among {t}")
+    if link["pilot_seed"] < 0:
+        raise ConfigError(f"[link] pilot_seed must be >= 0, got {link['pilot_seed']}")
     ranges = (("snr_db_min", "snr_db_max"), ("velocity_min_mps", "velocity_max_mps"),
               ("delay_spread_min_ns", "delay_spread_max_ns"))
     for key in ("subcarrier_spacing_hz", "carrier_frequency_hz", *sum(ranges, ())):
@@ -221,6 +225,8 @@ def receiver_config_from(config: dict[str, dict], variant: str | None = None):
 
     link = link_from_config(config)
     model = config["model"]
+    if model["init_seed"] < 0:
+        raise ConfigError(f"[model] init_seed must be >= 0, got {model['init_seed']}")
     try:
         return ReceiverConfig(
             variant=variant if variant is not None else model["variant"],
@@ -438,6 +444,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = load_config(args.config, args.preset)
         apply_seed_overrides(config, args.seed)
+        if args.seed is not None and args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         if args.command == "eval" and args.threads < 1:
             raise UsageError("--threads must be >= 1")
         return COMMANDS[args.command](args, config)

@@ -261,8 +261,6 @@ def _min_sum(code: LdpcCode, llr: np.ndarray, max_iter: int
     `iterations` (B,). Rows never interact, so each row's result is the
     same whatever else shares its batch.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     batch = llr.shape[0]
     m, row_weight = code.row_cols.shape
     check_cols = code.row_cols.T  # (row_weight, m): slot s of every check
@@ -324,7 +322,7 @@ def _min_sum(code: LdpcCode, llr: np.ndarray, max_iter: int
     return bits, converged, iterations
 
 
-def decode(code: LdpcCode, llr: np.ndarray, max_iter: int = DEFAULT_MAX_ITER) -> DecodeResult:
+def decode(code: LdpcCode, llr: np.ndarray) -> DecodeResult:
     """Normalized min-sum belief propagation with syndrome early exit.
 
     Convergence requires a zero syndrome with every posterior decided
@@ -334,17 +332,17 @@ def decode(code: LdpcCode, llr: np.ndarray, max_iter: int = DEFAULT_MAX_ITER) ->
     llr = np.asarray(llr, dtype=np.float64)
     if llr.shape != (code.n,):
         raise ValueError(f"expected {code.n} LLRs, got shape {llr.shape}")
-    bits, converged, iterations = _min_sum(code, llr[None], max_iter)
+    bits, converged, iterations = _min_sum(code, llr[None], DEFAULT_MAX_ITER)
     return DecodeResult(bits=bits[0], converged=bool(converged[0]),
                         iterations=int(iterations[0]))
 
 
-def decode_info(code: LdpcCode, llr: np.ndarray, max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+def decode_info(code: LdpcCode, llr: np.ndarray) -> np.ndarray:
     """Decode (n,) or (B, n) LLRs; return the (k,) or (B, k) information bits."""
     llr = np.asarray(llr, dtype=np.float64)
     if llr.ndim not in (1, 2) or llr.shape[-1] != code.n:
         raise ValueError(f"expected {code.n} LLRs per row, got shape {llr.shape}")
-    bits = _min_sum(code, llr.reshape(-1, code.n), max_iter)[0]
+    bits = _min_sum(code, llr.reshape(-1, code.n), DEFAULT_MAX_ITER)[0]
     return bits.reshape(llr.shape)[..., code.info_cols]
 
 

@@ -33,6 +33,7 @@ EVAL_STREAM = 202
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+EVAL_CHUNK_BLOCKS = 32  # blocks per batched decode; the early-stop granularity
 
 
 class TrainingDiverged(RuntimeError):
@@ -52,7 +53,7 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0 = only the final state is kept
 
     def __post_init__(self):
-        for key, low in (("steps", 0), ("batch_size", 1), ("checkpoint_every", 0)):
+        for key, low in (("steps", 0), ("batch_size", 1), ("seed", 0), ("checkpoint_every", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
@@ -67,15 +68,17 @@ class EvalConfig:
     target_errors: int = 100
     seed: int = 0
     threads: int = 1  # ignored: evaluation runs serially; kept for callers that pass it
-    chunk_blocks: int = 32  # early-stop granularity
 
     def __post_init__(self):
-        for key in ("max_blocks", "target_errors", "chunk_blocks"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key, low in (("max_blocks", 1), ("target_errors", 1), ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         for key in ("snr_points_db", "tiers"):
             if not getattr(self, key):
                 raise ValueError(f"{key} must list at least one value")
+        for snr_db in self.snr_points_db:
+            if not math.isfinite(snr_db):
+                raise ValueError(f"snr_points_db must be finite, got {snr_db}")
         for tier in self.tiers:
             if tier not in channel_mod.VELOCITY_TIERS:
                 raise ValueError(f"tiers: unknown tier {tier!r}, "
@@ -170,7 +173,7 @@ class LinkSimulator:
             velocity = 0.0
             spread = 0.0
         profile = channel_mod.TdlProfile.make(spread, velocity, link.carrier_hz,
-                                              n_taps=1 if static_flat else self.n_taps)
+                                              n_taps=self.n_taps)
         h = channel_mod.generate(profile, link.t, link.f, link.n_rx,
                                  link.subcarrier_spacing_hz, seed=rng,
                                  n_sinusoids=self.n_sinusoids)
@@ -279,7 +282,7 @@ def evaluate(receivers: dict[str, ReceiverFn], sim: LinkSimulator,
 
     Blocks accumulate until every receiver reaches the target error count
     or the block budget runs out; the early-stop check runs after each
-    chunk of `cfg.chunk_blocks` blocks, so every point runs at least one.
+    chunk of `EVAL_CHUNK_BLOCKS` blocks, so every point runs at least one.
     """
     code = sim.code
     names = list(receivers)
@@ -292,7 +295,7 @@ def evaluate(receivers: dict[str, ReceiverFn], sim: LinkSimulator,
             blocks_done = 0
             while blocks_done < cfg.max_blocks and \
                     not all(errors[name] >= cfg.target_errors for name in names):
-                chunk_end = min(blocks_done + cfg.chunk_blocks, cfg.max_blocks)
+                chunk_end = min(blocks_done + EVAL_CHUNK_BLOCKS, cfg.max_blocks)
                 infos, llrs = [], []
                 for block in range(blocks_done, chunk_end):
                     grid, info, meta = sim.sample((cfg.seed, EVAL_STREAM, point_index, block),

@@ -200,9 +200,11 @@ class TestConfigValidation:
         ("embedding_dim = 8", "embedding_dim = 8\nkernel = -1", "kernel"),
         ("embedding_dim = 8", "embedding_dim = 8\nffn_hidden = -4", "ffn_hidden"),
         ("embedding_dim = 8", "embedding_dim = 8\nresnet_channels = 0", "resnet_channels"),
+        ("batch_size = 2", "batch_size = 2\nseed = -1", "[train] seed"),
+        ("blocks = 1", "blocks = 1\ninit_seed = -1", "[model] init_seed"),
     ], ids=["negative-steps", "zero-batch", "nan-lr", "inf-lr", "zero-lr", "negative-lr",
             "zero-embedding", "negative-blocks", "negative-kernel", "negative-ffn",
-            "zero-resnet-channels"])
+            "zero-resnet-channels", "negative-seed", "negative-init-seed"])
     def test_bad_train_or_model_value(self, old, new, key, tmp_path, capsys, monkeypatch):
         import axialrx.cli as cli
 
@@ -223,7 +225,8 @@ class TestConfigValidation:
         ("snr_db_max = 12", "snr_db_max = 12\nmodulation_order = 8", "modulation_order"),
         ("snr_db_max = 12", "snr_db_max = 12\npilot_symbols = 2,20", "pilot_symbols"),
         ("snr_db_max = 12", "snr_db_max = 12\nsnr_db_min = nan", "snr_db_min"),
-    ], ids=["zero-subcarriers", "order-8", "pilot-out-of-range", "nan-snr"])
+        ("snr_db_max = 12", "snr_db_max = 12\npilot_seed = -1", "[link] pilot_seed"),
+    ], ids=["zero-subcarriers", "order-8", "pilot-out-of-range", "nan-snr", "negative-pilot-seed"])
     def test_bad_link_value(self, command, old, new, key, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(TINY_CONFIG.replace(old, new))
@@ -232,6 +235,46 @@ class TestConfigValidation:
         assert rc == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("target_errors = 2", "target_errors = 2\nseed = -1", "[eval] seed"),
+        ("snr_points_db = 6", "snr_points_db = 6, nan", "snr_points_db"),
+        ("snr_points_db = 6", "snr_points_db = inf", "snr_points_db"),
+        ("snr_points_db = 6", "snr_points_db = -inf, 6", "snr_points_db"),
+    ], ids=["negative-seed", "nan-snr-point", "inf-snr-point", "minus-inf-snr-point"])
+    def test_bad_eval_value(self, old, new, key, tmp_path, capsys, monkeypatch):
+        import axialrx.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "_build_simulator", lambda config: built.append(config))
+        path = tmp_path / "bad.ini"
+        path.write_text(TINY_CONFIG.replace(old, new))
+        out = tmp_path / "o"
+        rc = main(["eval", "--config", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not built and not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("env, argv, code, key", [
+        ("-1", [], EXIT_CONFIG, "AXRX_SEED"),
+        (None, ["--seed", "-1"], EXIT_USAGE, "--seed"),
+    ], ids=["env-seed", "cli-seed"])
+    def test_negative_seed_override(self, command, env, argv, code, key, tiny_config,
+                                    tmp_path, capsys, monkeypatch):
+        import axialrx.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "_build_simulator", lambda config: built.append(config))
+        if env is None:
+            monkeypatch.delenv("AXRX_SEED", raising=False)
+        else:
+            monkeypatch.setenv("AXRX_SEED", env)
+        out = tmp_path / "o"
+        rc = main([command, "--config", tiny_config, "--out", str(out)] + argv)
+        assert rc == code
+        assert key in capsys.readouterr().err
+        assert not built and not out.exists()
 
     @pytest.mark.parametrize("section, key, value", [
         ("link", "ofdm_symbols", 0),
@@ -246,6 +289,7 @@ class TestConfigValidation:
         ("link", "delay_spread_max_ns", float("nan")),
         ("channel", "taps", 0),
         ("channel", "sinusoids", 0),
+        ("link", "pilot_symbols", (11, 2)),
     ])
     def test_link_from_config_names_the_key(self, section, key, value, tiny_config):
         from axialrx.cli import ConfigError
@@ -339,8 +383,6 @@ class TestEvalCommand:
 
     def test_zero_block_budget_is_config_error(self, tmp_path, capsys):
         """max_blocks = 0 would report bler=0 from 0 measured blocks."""
-        from axialrx.trainer import EvalConfig
-
         path = tmp_path / "zero.ini"
         path.write_text(TINY_CONFIG.replace("max_blocks = 4", "max_blocks = 0"))
         out = tmp_path / "o"
@@ -348,8 +390,6 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
         assert "max_blocks" in capsys.readouterr().err
         assert not (out / "eval_results.csv").exists()
-        with pytest.raises(ValueError, match="chunk_blocks"):
-            EvalConfig(chunk_blocks=0)
 
     @pytest.mark.parametrize("old, new, key", [
         ("target_errors = 2", "target_errors = 0", "target_errors"),

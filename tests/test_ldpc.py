@@ -250,8 +250,6 @@ class TestDecode:
 
     def test_invalid_inputs(self, code48):
         with pytest.raises(ValueError):
-            decode(code48, np.zeros(code48.n), max_iter=0)
-        with pytest.raises(ValueError):
             decode(code48, np.zeros(code48.n + 1))
 
     @pytest.mark.parametrize("shape", [(49,), (3, 49), (2, 3, 48), (1, 48), ()],
@@ -265,11 +263,6 @@ class TestDecode:
     def test_decode_info_rejects_shapes(self, code48, shape):
         with pytest.raises(ValueError, match="LLRs"):
             decode_info(code48, np.zeros(shape))
-
-    @pytest.mark.parametrize("shape", [(48,), (4, 48)], ids=["1d", "2d"])
-    def test_decode_info_rejects_zero_iterations(self, code48, shape):
-        with pytest.raises(ValueError, match="max_iter"):
-            decode_info(code48, np.ones(shape), max_iter=0)
 
     def test_decode_info_shapes(self, code48):
         llr = np.ones((5, code48.n))
@@ -326,15 +319,16 @@ def awgn_llrs(code, rng, snrs_db, zero_frac=0.0, quantize=False):
 
 
 def assert_rows_match(code, llr, max_iter):
-    """Batched kernel == per-row `decode` == the reference loop, row by row."""
+    """Batched kernel == the kernel on one row == the reference loop, row by row."""
     bits, converged, iterations = ldpc._min_sum(code, llr, max_iter)
     for row in range(llr.shape[0]):
-        single = decode(code, llr[row], max_iter)
+        single_bits, single_converged, single_iterations = \
+            ldpc._min_sum(code, llr[row:row + 1], max_iter)
         ref_bits, ref_converged, ref_iterations = reference_min_sum(code, llr[row], max_iter)
-        np.testing.assert_array_equal(bits[row], single.bits)
-        np.testing.assert_array_equal(single.bits, ref_bits)
-        assert converged[row] == single.converged == ref_converged
-        assert iterations[row] == single.iterations == ref_iterations
+        np.testing.assert_array_equal(bits[row], single_bits[0])
+        np.testing.assert_array_equal(single_bits[0], ref_bits)
+        assert converged[row] == single_converged[0] == ref_converged
+        assert iterations[row] == single_iterations[0] == ref_iterations
 
 
 class TestBatchedDecode:

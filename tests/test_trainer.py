@@ -317,6 +317,16 @@ class TestEvaluate:
         lmmse = next(p for p in points if p.receiver == "ls-lmmse")
         assert lmmse.bler >= perfect.bler - (perfect.halfwidth + lmmse.halfwidth)
 
+    @pytest.mark.parametrize("config, kwargs, key", [
+        (TrainConfig, {"seed": -1}, "seed"),
+        (EvalConfig, {"seed": -1}, "seed"),
+        (EvalConfig, {"snr_points_db": (0.0, float("nan"))}, "snr_points_db"),
+    ], ids=["train-seed", "eval-seed", "nan-snr-point"])
+    def test_config_rejects_unrunnable_value(self, config, kwargs, key):
+        """Library callers get the check the CLI reports as exit 2."""
+        with pytest.raises(ValueError, match=key):
+            config(**kwargs)
+
     def test_thread_count_does_not_change_results(self, small_sim):
         receivers = {"ls-lmmse": lmmse_receiver(SMALL_LINK)}
         base = EvalConfig(snr_points_db=(4.0, 8.0), tiers=("tdl-lo",), max_blocks=48,
@@ -333,8 +343,9 @@ class TestEvaluate:
             raise AssertionError(f"evaluate started {thread!r}")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(trainer, "EVAL_CHUNK_BLOCKS", 2)
         cfg = EvalConfig(snr_points_db=(8.0,), tiers=("tdl-lo",), max_blocks=4,
-                         target_errors=100, seed=3, threads=4, chunk_blocks=2)
+                         target_errors=100, seed=3, threads=4)
         points = evaluate({"ls-lmmse": lmmse_receiver(SMALL_LINK)}, small_sim, cfg)
         assert points[0].blocks == 4
 
@@ -346,12 +357,13 @@ class TestEvaluate:
         points = evaluate(receivers, small_sim, cfg)
         assert points[0].blocks == 8
 
-    def test_early_stop_on_target_errors(self, small_sim):
+    def test_early_stop_on_target_errors(self, small_sim, monkeypatch):
         """An untrained model errs on every block, so the target stops the sweep."""
+        monkeypatch.setattr(trainer, "EVAL_CHUNK_BLOCKS", 8)
         model = small_model(seed=7)
         receivers = {"axial": neural_receiver(model)}
         cfg = EvalConfig(snr_points_db=(0.0,), tiers=("tdl-lo",), max_blocks=200,
-                         target_errors=8, seed=5, chunk_blocks=8)
+                         target_errors=8, seed=5)
         points = evaluate(receivers, small_sim, cfg)
         assert points[0].blocks == 8
         assert points[0].errors >= 8
@@ -359,7 +371,7 @@ class TestEvaluate:
     def test_chunked_decode_equals_per_block_loop(self, small_sim, monkeypatch):
         """One batched decode per chunk gives the per-block loop's points.
 
-        chunk_blocks=4 does not divide max_blocks=11, so full-budget points
+        Chunks of 4 blocks do not divide max_blocks=11, so full-budget points
         end on a short chunk; the untrained axial receiver errs on every
         block and stops the low-SNR points after one or two chunks.
         """
@@ -368,8 +380,9 @@ class TestEvaluate:
             "perfect-csi": perfect_csi_receiver(SMALL_LINK),
             "axial": neural_receiver(small_model(seed=7)),
         }
+        monkeypatch.setattr(trainer, "EVAL_CHUNK_BLOCKS", 4)
         cfg = EvalConfig(snr_points_db=(-4.0, 4.0, 20.0), tiers=("tdl-lo", "tdl-hi"),
-                         max_blocks=11, target_errors=3, seed=6, chunk_blocks=4)
+                         max_blocks=11, target_errors=3, seed=6)
         expected = per_block_evaluate(receivers, small_sim, cfg)
         calls = []
         original = ldpc.decode_info
@@ -413,7 +426,7 @@ def per_block_evaluate(receivers, sim, cfg):
             blocks_done = 0
             while blocks_done < cfg.max_blocks and \
                     not all(errors[name] >= cfg.target_errors for name in names):
-                chunk_end = min(blocks_done + cfg.chunk_blocks, cfg.max_blocks)
+                chunk_end = min(blocks_done + trainer.EVAL_CHUNK_BLOCKS, cfg.max_blocks)
                 for block in range(blocks_done, chunk_end):
                     grid, info, meta = sim.sample((cfg.seed, EVAL_STREAM, point_index, block),
                                                   snr_db=snr_db, velocity_range=vel_range)
