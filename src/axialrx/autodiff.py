@@ -369,7 +369,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """2-D cross-correlation with zero "same" padding.
 
     x: (T, F, C_in), w: (k, k, C_in, C_out) with odd k, b: (C_out,).
-    Spatial dims are preserved. Implemented as k*k shifted matmuls.
+    Spatial dims are preserved. Implemented as k*k shifted matmuls: the
+    forward takes each shift's product over the padded width, whose input
+    is one contiguous row range of the flattened padded input (a spare
+    zero row keeps the last range in bounds), and adds its valid columns.
     """
     if x.ndim != 3 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 3-D input and 4-D kernel: {x.shape}, {w.shape}")
@@ -383,14 +386,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"conv2d bias shape {b.shape} != ({c_out},)")
     flopcount.add(t * f * c_out * (2 * k * k * c_in + 1))
     pad = k // 2
-    xp = np.zeros((t + k - 1, f + k - 1, c_in))
+    width = f + k - 1
+    xp = np.zeros((t + k, width, c_in))
     xp[pad : pad + t, pad : pad + f] = x.data
+    rows = xp.reshape(-1, c_in)
+    prod = np.empty((t, width, c_out))
+    prod_rows = prod.reshape(t * width, c_out)
     acc = np.tile(b.data, (t, f, 1))
     wd = w.data
     for di in range(k):
         for dj in range(k):
-            patch = xp[di : di + t, dj : dj + f].reshape(t * f, c_in)
-            acc += (patch @ wd[di, dj]).reshape(t, f, c_out)
+            start = di * width + dj
+            np.matmul(rows[start : start + t * width], wd[di, dj], out=prod_rows)
+            acc += prod[:, :f]
     out = Tensor(acc)
 
     def grad_fn(g):

@@ -39,6 +39,7 @@ MIN_SUM_SCALE = 0.75
 DEFAULT_MAX_ITER = 25
 RATE_TARGET = 0.5
 RATE_TOLERANCE = 0.01
+ASSEMBLE_BLOCK_ROWS = 256
 
 
 class LdpcConstructionError(RuntimeError):
@@ -82,18 +83,32 @@ def _sample_regular_h(n: int, m: int, col_weight: int, row_weight: int,
 
     Returns the (m, row_weight) ascending columns of each check, or None
     when the swap budget runs out.
+
+    Check r owns stubs r*row_weight.., so sorting the edges by (check,
+    column) only sorts within checks: an odd-even transposition sort over
+    the (row_weight, m) slot-major copy sorts every check at once. The
+    repeated columns of the few checks that have one are then found by a
+    stable sort of those checks alone, and swapped in (check, column,
+    stub) order.
     """
     cols = np.repeat(np.arange(n), col_weight)
     rng.shuffle(cols)
-    rows = np.repeat(np.arange(m), row_weight)
+    checks = cols.reshape(m, row_weight)
     for _ in range(500):
-        key = rows.astype(np.int64) * n + cols
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        dup_sorted = np.flatnonzero(sorted_key[1:] == sorted_key[:-1]) + 1
-        if dup_sorted.size == 0:
-            return (sorted_key % n).reshape(m, row_weight)
-        dup_positions = order[dup_sorted]
+        slots = checks.T.copy()
+        for p in range(row_weight):
+            lo, hi = slots[p % 2:row_weight - 1:2], slots[p % 2 + 1::2]
+            low = np.minimum(lo, hi)
+            np.maximum(lo, hi, out=hi)
+            lo[...] = low
+        bad = np.flatnonzero((slots[1:] == slots[:-1]).any(axis=0))
+        if bad.size == 0:
+            return np.ascontiguousarray(slots.T)
+        bad_checks = checks[bad]
+        order = np.argsort(bad_checks, axis=1, kind="stable")
+        ranked = np.take_along_axis(bad_checks, order, axis=1)
+        repeat = ranked[:, 1:] == ranked[:, :-1]
+        dup_positions = (bad[:, None] * row_weight + order[:, 1:])[repeat]
         swap_with = rng.integers(0, cols.size, size=dup_positions.size)
         for p, q in zip(dup_positions, swap_with):
             cols[p], cols[q] = cols[q], cols[p]
@@ -102,9 +117,17 @@ def _sample_regular_h(n: int, m: int, col_weight: int, row_weight: int,
 
 def _count_four_cycles(row_cols: np.ndarray, n: int) -> int:
     """4-cycles = column pairs shared by more than one check."""
+    # Slot-major, so each pair's codes come from two whole contiguous rows.
+    slots = row_cols.T.astype(np.int32 if n * n < 2**31 else np.int64)
     ii, jj = np.triu_indices(row_cols.shape[1], k=1)
-    codes = (row_cols[:, ii] * n + row_cols[:, jj]).ravel()
-    counts = np.unique(codes, return_counts=True)[1]
+    codes = slots[ii]
+    codes *= n
+    codes += slots[jj]
+    codes = codes.ravel()
+    codes.sort()
+    # Runs of equal codes: one per column pair, as long as its check count.
+    ends = np.flatnonzero(codes[1:] != codes[:-1])
+    counts = np.diff(ends, prepend=-1, append=codes.size - 1)
     return int((counts * (counts - 1) // 2).sum())
 
 
@@ -223,11 +246,17 @@ def _assemble(n: int, rref: np.ndarray, pivots: list[int], cycles: int,
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
     info_cols = np.setdiff1d(np.arange(n), pivot_cols)
-    # bit c of every pivot row, gathered from the packed RREF for the info columns
-    info_bits = np.take(rref[:rank], info_cols >> 3, axis=1)
-    info_bits >>= (7 - (info_cols & 7)).astype(np.uint8)
-    info_bits &= 1
-    back_sub = np.packbits(info_bits, axis=1)
+    # bit c of every pivot row, gathered from the packed RREF for the info
+    # columns a block of rows at a time, so no (rank, k) byte array is built
+    byte_cols, shifts = info_cols >> 3, (7 - (info_cols & 7)).astype(np.uint8)
+    pivot_rows = rref[:rank]
+    back_sub = np.empty((rank, (info_cols.size + 7) // 8), dtype=np.uint8)
+    for start in range(0, rank, ASSEMBLE_BLOCK_ROWS):
+        block = slice(start, start + ASSEMBLE_BLOCK_ROWS)
+        info_bits = np.take(pivot_rows[block], byte_cols, axis=1)
+        info_bits >>= shifts
+        info_bits &= 1
+        back_sub[block] = np.packbits(info_bits, axis=1)
 
     # A stable sort of the row-major edge list by column lists each
     # column's edges in ascending row order.

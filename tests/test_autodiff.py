@@ -205,6 +205,25 @@ class TestLayerNorm:
             layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
 
 
+def conv2d_patch_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The k*k shifted-patch forward: one copied (t*f, c_in) patch per shift.
+
+    `conv2d` takes the same products over the padded width instead, and
+    must give the same bits.
+    """
+    t, f, c_in = x.shape
+    k, c_out = w.shape[0], w.shape[3]
+    pad = k // 2
+    xp = np.zeros((t + k - 1, f + k - 1, c_in))
+    xp[pad : pad + t, pad : pad + f] = x
+    acc = np.tile(b, (t, f, 1))
+    for di in range(k):
+        for dj in range(k):
+            patch = xp[di : di + t, dj : dj + f].reshape(t * f, c_in)
+            acc += (patch @ w[di, dj]).reshape(t, f, c_out)
+    return acc
+
+
 class TestConv2d:
     def test_1x1_identity_channel_map(self):
         rng = np.random.default_rng(7)
@@ -228,6 +247,37 @@ class TestConv2d:
         b = rng.standard_normal(1)
         out = conv2d(Tensor(x), Tensor(w), Tensor(b))
         np.testing.assert_allclose(out.data, conv2d_oracle(x, w, b), atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("t, f", [(1, 4), (3, 1), (2, 2), (5, 7)])
+    @pytest.mark.parametrize("c_in, c_out", [(1, 1), (2, 3), (7, 16)])
+    def test_bitwise_equal_to_patch_forward(self, k, t, f, c_in, c_out):
+        rng = np.random.default_rng(k * 1000 + t * 100 + f * 10 + c_in)
+        x = rng.standard_normal((t, f, c_in))
+        w = rng.standard_normal((k, k, c_in, c_out))
+        b = rng.standard_normal(c_out)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_array_equal(out, conv2d_patch_oracle(x, w, b))
+
+    def test_bitwise_equal_to_patch_forward_at_paper_resnet_dims(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((14, 128, 160))
+        w = rng.standard_normal((3, 3, 160, 160)) * 0.03
+        b = rng.standard_normal(160)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_array_equal(out, conv2d_patch_oracle(x, w, b))
+
+    def test_single_cell_grid(self):
+        # A 1x1 grid's patch product has one row, which numpy takes as a
+        # matrix-vector product; over the padded width it is a matrix
+        # product, so only this shape may differ from the patch forward
+        # in the last bits.
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((1, 1, 7))
+        w = rng.standard_normal((3, 3, 7, 16))
+        b = rng.standard_normal(16)
+        out = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_allclose(out, conv2d_oracle(x, w, b), rtol=0, atol=1e-13)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):

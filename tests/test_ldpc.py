@@ -1,6 +1,7 @@
 """LDPC construction, encoding and min-sum decoding."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,38 @@ def gf2_rref_oracle(h: np.ndarray) -> tuple[np.ndarray, list[int]]:
                 work[r] ^= work[rank]
         pivots.append(c)
     return work, pivots
+
+
+def sample_regular_h_oracle(n: int, m: int, col_weight: int, row_weight: int,
+                            rng: np.random.Generator) -> np.ndarray | None:
+    """The stub matching with one global stable argsort per repair round.
+
+    `ldpc._sample_regular_h` must return the same arrays and make the same
+    RNG draws, since they pick the code of every seed.
+    """
+    cols = np.repeat(np.arange(n), col_weight)
+    rng.shuffle(cols)
+    rows = np.repeat(np.arange(m), row_weight)
+    for _ in range(500):
+        key = rows.astype(np.int64) * n + cols
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        dup_sorted = np.flatnonzero(sorted_key[1:] == sorted_key[:-1]) + 1
+        if dup_sorted.size == 0:
+            return (sorted_key % n).reshape(m, row_weight)
+        dup_positions = order[dup_sorted]
+        swap_with = rng.integers(0, cols.size, size=dup_positions.size)
+        for p, q in zip(dup_positions, swap_with):
+            cols[p], cols[q] = cols[q], cols[p]
+    return None
+
+
+def count_four_cycles_oracle(row_cols: np.ndarray, n: int) -> int:
+    """Column pairs shared by more than one check, counted with np.unique."""
+    ii, jj = np.triu_indices(row_cols.shape[1], k=1)
+    codes = (row_cols[:, ii] * n + row_cols[:, jj]).ravel()
+    counts = np.unique(codes, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
 
 
 @st.composite
@@ -145,6 +178,50 @@ class TestRref:
     @pytest.mark.parametrize("name", RREF_EDGE_CASES)
     def test_edge_cases_match_boolean_oracle(self, name):
         assert_rref_matches_oracle(RREF_EDGE_CASES[name])
+
+
+class TestCandidates:
+    """The per-check sampler and the sort-based 4-cycle count against the
+    global-argsort and np.unique oracles: same arrays, same RNG state."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(col_weight=st.sampled_from([2, 3, 4]), half_n=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1), draws=st.integers(1, 3))
+    def test_sampler_and_counter_match_oracles(self, col_weight, half_n, seed, draws):
+        n, row_weight = 2 * half_n, 2 * col_weight
+        m = n * col_weight // row_weight
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            row_cols = ldpc._sample_regular_h(n, m, col_weight, row_weight, rng)
+            expected = sample_regular_h_oracle(n, m, col_weight, row_weight, oracle_rng)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            if expected is None:
+                assert row_cols is None
+                continue
+            assert row_cols.dtype == expected.dtype and row_cols.flags.c_contiguous
+            np.testing.assert_array_equal(row_cols, expected)
+            assert ldpc._count_four_cycles(row_cols, n) == count_four_cycles_oracle(expected, n)
+
+    def test_sampler_gives_up_when_no_matching_exists(self):
+        # one check of four stubs over two columns always repeats a column
+        rng, oracle_rng = np.random.default_rng(3), np.random.default_rng(3)
+        assert ldpc._sample_regular_h(2, 1, 2, 4, rng) is None
+        assert sample_regular_h_oracle(2, 1, 2, 4, oracle_rng) is None
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("row_cols, n, cycles", [
+        ([[0, 1, 2, 3], [4, 5, 6, 7]], 8, 0),
+        ([[0, 1, 2, 3], [0, 1, 4, 5]], 8, 1),
+        # pair (0, 1) in three checks, (2, 3) and (4, 5) in two each
+        ([[0, 1, 2, 3], [0, 1, 4, 5], [0, 1, 6, 7], [2, 3, 4, 5]], 8, 5),
+        ([[0, 1, 2], [0, 1, 2], [0, 1, 2]], 3, 9),
+        # codes past 2**31; in int32 pairs (0, 20000) and (61356, 67296) would collide
+        ([[0, 20000], [61356, 67296], [69998, 69999], [69998, 69999]], 70000, 1),
+    ])
+    def test_counter_on_checks_sharing_pairs(self, row_cols, n, cycles):
+        row_cols = np.array(row_cols)
+        assert ldpc._count_four_cycles(row_cols, n) == cycles
+        assert count_four_cycles_oracle(row_cols, n) == cycles
 
 
 class TestEncode:
@@ -447,6 +524,17 @@ class TestGoldenCodes:
             "e510e5522f483c2c54b2a643b0e3dd4a8e276d2c21e0ef3a16fa57e0060e63af",
             "dec2b7cab191240888b85e4afe3b8d78d25040422511e5c4c7b27572f70d8b23",
             "9c7adf440184f820fb84130dfa9f5406653accbb859b088e126324544c0d124e")
+
+    def test_paper_construction_peak_memory(self):
+        """`back_sub` is gathered a block of rows at a time. The (rank, k) byte
+        array it replaced (21 MB at n = 9216) put the traced peak at 43 MiB."""
+        tracemalloc.start()
+        try:
+            construct(9216, col_weight=3, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_paper_code_and_codeword(self):
         code = construct(9216, col_weight=3, seed=7)
