@@ -15,6 +15,7 @@ the innermost one records.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -224,37 +225,16 @@ def relu(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g * mask,))
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise DimensionError("concat of zero tensors")
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def grad_fn(g):
-        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
-
-    return _record(out, tuple(tensors), grad_fn)
-
-
-def slice_(x: Tensor, key) -> Tensor:
-    """Basic slice x[key] (ints and slices only); the gradient scatters back
-    into zeros of x's shape."""
-    out = Tensor(x.data[key])
-    xshape = x.shape
-
-    def grad_fn(g):
-        gx = np.zeros(xshape)
-        gx[key] = g
-        return (gx,)
-
-    return _record(out, (x,), grad_fn)
-
-
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = Tensor(x.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
-    return _record(out, (x,), lambda g: (np.ascontiguousarray(g.transpose(inverse)),))
+
+    def grad_fn(g):
+        inverse = [0] * len(axes)
+        for i, a in enumerate(axes):
+            inverse[a] = i
+        return (np.ascontiguousarray(g.transpose(inverse)),)
+
+    return _record(out, (x,), grad_fn)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -310,6 +290,86 @@ def softmax(x: Tensor, axis: int, scale: float | None = None) -> Tensor:
         return (gx,)
 
     return _record(out, (x,), grad_fn)
+
+
+def attention_core(q: Tensor, kt: Tensor, v: Tensor, scale: float,
+                   chunks: Sequence[tuple], product: Callable) -> Tensor:
+    """softmax(scale * q @ kt, axis=-1) @ v over N sequences, chunk by chunk.
+
+    q: (N, L, dh), kt: (N, dh, L'), v: (N, L', dh). Each chunk is a pair of
+    basic-slice keys (qkey, kvkey): the queries q[qkey] attend over
+    kt[kvkey] and v[kvkey] and fill out[qkey]. The qkeys partition the
+    output, and chunks that share a kvkey are adjacent. `product(a, b,
+    out)` computes both products of every chunk and charges their FLOPs;
+    each score charges five FLOPs to the open bucket, as the scaled
+    softmax does. One score buffer, sized for the largest chunk, serves
+    every chunk, and its steps are the IEEE operations of `bmm`, the
+    scaled `softmax` and `bmm` on the chunk's slices in the same order, so
+    the values are bitwise those of that composition.
+
+    One tape node. A single chunk keeps its probabilities for backward.
+    Several chunks keep none: backward recomputes each chunk's
+    probabilities (with no FLOP charge), visits the chunks last first,
+    sums the gradients of chunks that share a kvkey, and adds every
+    chunk's gradient into zeros. That repeats the additions of the
+    composition over sliced and concatenated chunks, signed zeros
+    included.
+    """
+    c = float(scale)
+    qd, ktd, vd = q.data, kt.data, v.data
+    shapes = [qd[qkey].shape[:2] + ktd.shape[2:] for qkey, _ in chunks]
+    size = max(a * b * l for a, b, l in shapes)
+    out = np.empty(qd.shape[:2] + vd.shape[2:])
+
+    def probabilities(qkey, kvkey, shape, buf, mul):
+        p = buf[:shape[0] * shape[1] * shape[2]].reshape(shape)
+        mul(qd[qkey], ktd[kvkey], p)
+        p *= c
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
+
+    buf = np.empty(size)
+    for (qkey, kvkey), shape in zip(chunks, shapes):
+        p = probabilities(qkey, kvkey, shape, buf, product)
+        flopcount.add(5 * p.size)
+        product(p, vd[kvkey], out[qkey])
+    kept = p if len(chunks) == 1 else None
+
+    def chunk_grads(p, g, qc, ktc, vc, gs, gx):
+        gv = p.transpose(0, 2, 1) @ g
+        np.matmul(g, vc.transpose(0, 2, 1), out=gs)
+        np.multiply(gs, p, out=gx)
+        np.subtract(gs, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= p
+        gx *= c
+        return gx @ ktc.transpose(0, 2, 1), qc.transpose(0, 2, 1) @ gx, gv
+
+    def grad_fn(g):
+        if kept is not None:
+            return chunk_grads(kept, g, qd, ktd, vd, np.empty_like(kept), np.empty_like(kept))
+        gq, gkt, gv = np.zeros(qd.shape), np.zeros(ktd.shape), np.zeros(vd.shape)
+        p_buf, gs_buf, gx_buf = np.empty(size), np.empty(size), np.empty(size)
+        backwards = reversed(list(zip(chunks, shapes)))
+        for kvkey, group in itertools.groupby(backwards, key=lambda item: item[0][1]):
+            gkt_sum = gv_sum = None
+            for (qkey, _), shape in group:
+                p = probabilities(qkey, kvkey, shape, p_buf, np.matmul)
+                gs, gx = (b[:p.size].reshape(shape) for b in (gs_buf, gx_buf))
+                gq_c, gkt_c, gv_c = chunk_grads(p, g[qkey], qd[qkey], ktd[kvkey], vd[kvkey],
+                                                gs, gx)
+                gq[qkey] += gq_c
+                if gkt_sum is None:
+                    gkt_sum, gv_sum = gkt_c, gv_c
+                else:
+                    gkt_sum += gkt_c
+                    gv_sum += gv_c
+            gkt[kvkey] += gkt_sum
+            gv[kvkey] += gv_sum
+        return gq, gkt, gv
+
+    return _record(Tensor(out), (q, kt, v), grad_fn)
 
 
 def bce_with_logits(x: Tensor, bits: np.ndarray, mask: np.ndarray) -> Tensor:

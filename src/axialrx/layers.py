@@ -24,23 +24,21 @@ import numpy as np
 from . import flopcount
 from .autodiff import (
     Tensor,
+    attention_core,
     bias_add,
-    bmm,
-    concat,
     conv2d,
     layer_norm,
     matmul,
     relu,
     reshape,
-    slice_,
-    softmax,
     transpose,
 )
 
 VARIANTS = ("axial", "global", "cnn-resnet")
 
 # Cap on the scores one attention-core chunk holds: 2**16 float64 scores
-# (512 KB) keep a chunk's score block in L2 through bmm, softmax and bmm.
+# (512 KB) keep the one reused score buffer in L2 through both products and
+# the softmax between them.
 CORE_CHUNK_SCORES = 1 << 16
 
 
@@ -129,6 +127,13 @@ class AttentionWeights:
         self.wo = _he_normal(rng, (d, d), d)
 
 
+def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One attention-core product a @ b into `out`, charged to `<block>#core`."""
+    with flopcount.bucket("#core"):
+        flopcount.add(2 * a.shape[0] * a.shape[1] * a.shape[2] * b.shape[2])
+    return np.matmul(a, b, out=out)
+
+
 def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     """Multi-head scaled dot-product attention over independent sequences.
 
@@ -137,15 +142,15 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     wo. The 1/sqrt(d_h) scale runs inside the softmax and is still charged
     one FLOP per score.
 
-    The core bmm -> softmax -> bmm runs in chunks of at most
-    CORE_CHUNK_SCORES scores, so each chunk's score block stays in cache:
-    whole sequences are grouped while L*L fits under the cap, otherwise
-    each sequence's query rows are split into blocks. Every chunk charges
-    its two products to `<block>#core`, a `#core` bucket nested in the
-    open one, and its softmax (five FLOPs per score) to the open bucket
-    itself, so the per-chunk counts sum to those of one unchunked core.
-    When one chunk covers the call (every desk-dims axial call), no slice
-    or concat is recorded.
+    The core runs as one `attention_core` tape node, in chunks of at most
+    CORE_CHUNK_SCORES scores that share one score buffer: whole sequences
+    are grouped while L*L fits under the cap, otherwise each sequence's
+    query rows are split into blocks. Both products of every chunk go
+    through `bmm`, which charges them to `<block>#core`, a `#core` bucket
+    nested in the open one; the softmax (five FLOPs per score) is charged
+    to the open bucket itself, so the per-chunk counts sum to those of one
+    unchunked core. A single chunk (every desk-dims axial call) keeps its
+    probabilities for backward; several chunks recompute theirs there.
     """
     s, length, d = x.shape
     h, dh = w.heads, w.head_dim
@@ -156,13 +161,6 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
         grouped = reshape(flat, (s, length, h, dh))
         return reshape(transpose(grouped, (0, 2, 1, 3)), (n, length, dh))
 
-    def core(qc: Tensor, ktc: Tensor, vc: Tensor) -> Tensor:
-        with flopcount.bucket("#core"):
-            scores = bmm(qc, ktc)
-        attn = softmax(scores, axis=-1, scale=c)
-        with flopcount.bucket("#core"):
-            return bmm(attn, vc)
-
     x2 = reshape(x, (s * length, d))
     q = split_heads(matmul(x2, w.wq))
     k = split_heads(matmul(x2, w.wk))
@@ -170,18 +168,14 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     kt = transpose(k, (0, 2, 1))
     group = CORE_CHUNK_SCORES // (length * length)
     if group >= n:
-        mixed = core(q, kt, v)
+        chunks = [(np.s_[:], np.s_[:])]
     elif group >= 1:
-        mixed = concat([core(*(slice_(t, np.s_[i:i + group]) for t in (q, kt, v)))
-                        for i in range(0, n, group)], axis=0)
+        chunks = [(np.s_[i:i + group],) * 2 for i in range(0, n, group)]
     else:
         rows = max(1, CORE_CHUNK_SCORES // length)
-        pieces = []
-        for j in range(n):
-            ktj, vj = slice_(kt, np.s_[j:j + 1]), slice_(v, np.s_[j:j + 1])
-            pieces += [core(slice_(q, np.s_[j:j + 1, r:r + rows]), ktj, vj)
-                       for r in range(0, length, rows)]
-        mixed = reshape(concat(pieces, axis=1), (n, length, dh))
+        chunks = [(np.s_[j:j + 1, r:r + rows], np.s_[j:j + 1])
+                  for j in range(n) for r in range(0, length, rows)]
+    mixed = attention_core(q, kt, v, c, chunks, bmm)
     merged = reshape(transpose(reshape(mixed, (s, h, length, dh)), (0, 2, 1, 3)), (s * length, d))
     return reshape(matmul(merged, w.wo), (s, length, d))
 

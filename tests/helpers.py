@@ -1,11 +1,12 @@
-"""Shared test utilities: finite-difference gradient checking, dense LDPC H."""
+"""Shared test utilities: finite-difference gradient checking, dense LDPC H,
+the composed attention core that `autodiff.attention_core` must reproduce."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from axialrx import selftest
-from axialrx.autodiff import Tensor
+from axialrx import flopcount, selftest
+from axialrx.autodiff import Tensor, _record, bmm, reshape, softmax
 
 
 def gradcheck(build_loss, leaves, step=selftest.FD_STEP, tol=selftest.FD_TOL):
@@ -27,3 +28,50 @@ def dense_h(code) -> np.ndarray:
     h = np.zeros((code.m, code.n), dtype=np.uint8)
     h[np.arange(code.m)[:, None], code.row_cols] = 1
     return h
+
+
+def _slice(x: Tensor, key) -> Tensor:
+    """Basic slice x[key]; the gradient scatters back into zeros of x's shape."""
+    xshape = x.shape
+
+    def grad_fn(g):
+        gx = np.zeros(xshape)
+        gx[key] = g
+        return (gx,)
+
+    return _record(Tensor(x.data[key]), (x,), grad_fn)
+
+
+def _concat(tensors: list[Tensor], axis: int) -> Tensor:
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+
+    def grad_fn(g):
+        return tuple(np.ascontiguousarray(p) for p in np.split(g, splits, axis=axis))
+
+    return _record(Tensor(np.concatenate([t.data for t in tensors], axis=axis)),
+                   tuple(tensors), grad_fn)
+
+
+def composed_attention_core(q: Tensor, kt: Tensor, v: Tensor, scale: float, chunks,
+                            product=None) -> Tensor:
+    """`autodiff.attention_core` as the tape ops it replaced: per chunk, taped
+    slices of q, kt and v, then `bmm` -> scaled `softmax` -> `bmm` with both
+    products charged to `#core`, and one concatenation of the chunks.
+    `product` is accepted for the same signature and ignored."""
+
+    def core(qc, ktc, vc):
+        with flopcount.bucket("#core"):
+            scores = bmm(qc, ktc)
+        attn = softmax(scores, axis=-1, scale=scale)
+        with flopcount.bucket("#core"):
+            return bmm(attn, vc)
+
+    if len(chunks) == 1:
+        return core(q, kt, v)
+    pieces, kv = [], (None, None, None)
+    for qkey, kvkey in chunks:
+        if kv[0] != kvkey:
+            kv = (kvkey, _slice(kt, kvkey), _slice(v, kvkey))
+        mixed = core(_slice(q, qkey), kv[1], kv[2])
+        pieces.append(reshape(mixed, (1, mixed.shape[0] * mixed.shape[1], mixed.shape[2])))
+    return reshape(_concat(pieces, axis=1), q.shape[:2] + v.shape[2:])

@@ -11,10 +11,10 @@ from axialrx.autodiff import (
     DimensionError,
     Tape,
     Tensor,
+    attention_core,
     backward,
     bias_add,
     bmm,
-    concat,
     conv2d,
     layer_norm,
     matmul,
@@ -27,7 +27,8 @@ from axialrx.autodiff import (
     transpose,
 )
 from axialrx.flopcount import FlopCounter
-from helpers import gradcheck, rand_tensor
+from axialrx.layers import bmm as core_product
+from helpers import composed_attention_core, gradcheck, rand_tensor
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -352,11 +353,6 @@ class TestBackward:
 
 
 class TestElementwise:
-    def test_concat_shape(self):
-        a = Tensor(np.zeros((2, 3)))
-        b = Tensor(np.zeros((2, 5)))
-        assert concat([a, b], axis=1).shape == (2, 8)
-
     def test_transpose_involution(self):
         rng = np.random.default_rng(12)
         x = Tensor(rng.standard_normal((3, 5)))
@@ -428,10 +424,66 @@ class TestGradientSoundness:
         a = rand_tensor(rng, (2, 3))
         b = rand_tensor(rng, (2, 2))
         bias = rand_tensor(rng, (3,))
-        gradcheck(lambda: sum_all(concat([a, b], axis=1) * concat([a, b], axis=1)), [a, b])
+        c = rand_tensor(rng, (2, 3, 4))
         gradcheck(lambda: sum_all(transpose(a, (1, 0)) * transpose(a, (1, 0))), [a])
+        gradcheck(lambda: sum_all(transpose(c, (2, 0, 1)) * transpose(c, (2, 0, 1))), [c])
         gradcheck(lambda: sum_all(reshape(a, (3, 2)) * reshape(a, (3, 2))), [a])
         gradcheck(lambda: sum_all(bias_add(a, bias) * bias_add(a, bias)), [a, bias])
+
+
+def _bits(a: np.ndarray) -> tuple:
+    """Shape and bytes: equal only if bitwise equal, signed zeros included."""
+    return a.shape, a.tobytes()
+
+
+# (N, L, dh) of q and v, and the chunk keys `layers.attend` builds for them.
+CORE_PATHS = {
+    "single": ((4, 5, 3), [(np.s_[:], np.s_[:])]),
+    "grouped": ((5, 4, 3), [(np.s_[i:i + 2],) * 2 for i in range(0, 5, 2)]),
+    "row-split": ((3, 5, 2), [(np.s_[j:j + 1, r:r + 2], np.s_[j:j + 1])
+                              for j in range(3) for r in range(0, 5, 2)]),
+}
+
+
+class TestAttentionCore:
+    """The fused core against the composed slice/bmm/softmax/bmm/concat ops."""
+
+    @staticmethod
+    def run(core, shape, chunks, sharpness):
+        rng = np.random.default_rng(30)
+        n, length, dh = shape
+        q = rand_tensor(rng, shape, scale=sharpness)
+        kt = rand_tensor(rng, (n, dh, length))
+        v = rand_tensor(rng, shape)
+        w = Tensor(rng.standard_normal(shape))
+        with FlopCounter() as counter, counter.bucket("block00"):
+            with Tape() as tape:
+                loss = sum_all(core(q, kt, v, 0.37, chunks, core_product) * w)
+            grads = backward(loss, tape, leaves=[q, kt, v])
+        return loss, [grads[t] for t in (q, kt, v)], counter.buckets, len(tape.nodes)
+
+    @pytest.mark.parametrize("sharpness", [1.0, 2000.0])  # 2000: about half the probabilities are 0
+    @pytest.mark.parametrize("path", sorted(CORE_PATHS))
+    def test_bitwise_equal_to_composed_ops(self, path, sharpness):
+        shape, chunks = CORE_PATHS[path]
+        loss, grads, buckets, nodes = self.run(attention_core, shape, chunks, sharpness)
+        ref_loss, ref_grads, ref_buckets, _ = self.run(composed_attention_core, shape, chunks,
+                                                      sharpness)
+        assert _bits(loss.data) == _bits(ref_loss.data)
+        for g, ref in zip(grads, ref_grads):
+            assert _bits(g) == _bits(ref)
+        assert buckets == ref_buckets
+        assert nodes == 3  # attention_core, mul, sum_all
+
+    @pytest.mark.parametrize("path", sorted(CORE_PATHS))
+    def test_gradient(self, path):
+        shape, chunks = CORE_PATHS[path]
+        rng = np.random.default_rng(32)
+        q, v = rand_tensor(rng, shape), rand_tensor(rng, shape)
+        kt = rand_tensor(rng, (shape[0], shape[2], shape[1]))
+        w = Tensor(rng.standard_normal(shape))
+        gradcheck(lambda: sum_all(attention_core(q, kt, v, 0.8, chunks, core_product) * w),
+                  [q, kt, v])
 
 
 class TestTapeBehavior:

@@ -1,11 +1,16 @@
 """Receiver architectures: attention oracles, degenerate equivalences, blocks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import axialrx.layers as layers_mod
 from axialrx.autodiff import Tape, Tensor, backward, bmm, mean_all, softmax, sum_all
 from axialrx.complexity import model_report
+from axialrx.flopcount import FlopCounter
 from axialrx.layers import (
     AttentionWeights,
     AxialBlock,
@@ -20,7 +25,7 @@ from axialrx.layers import (
     global_mhsa,
     input_features,
 )
-from helpers import gradcheck
+from helpers import composed_attention_core, gradcheck
 
 
 class FakeGrid:
@@ -398,37 +403,26 @@ class TestEndToEndGradients:
         leaves = list(model.named_parameters().values())
         gradcheck(lambda: mean_all(model(grid)), leaves)
 
-    def test_attention_rows_sum_to_one(self):
-        """Softmax scores sum to one per query row inside every variant."""
-        from axialrx import autodiff
+    def test_attention_rows_sum_to_one(self, monkeypatch):
+        """Softmax scores sum to one per query row inside every variant: the
+        first argument of every second `layers.bmm` call is a probability block."""
+        products = []
+        original = layers_mod.bmm
 
-        captured = []
-        original = autodiff.softmax
+        def spy(a, b, out):
+            products.append(a.copy())
+            return original(a, b, out)
 
-        def spy(x, axis, scale=None):
-            out = original(x, axis, scale=scale)
-            captured.append(out.data)
-            return out
-
-        autodiff.softmax = spy
-        try:
-            import axialrx.layers as layers_mod
-
-            layers_original = layers_mod.softmax
-            layers_mod.softmax = spy
-            try:
-                rng = np.random.default_rng(9)
-                w = make_weights(8, 2, seed=14)
-                x = Tensor(rng.standard_normal((3, 5, 8)))
-                axial_time_attention(x, w)
-                axial_freq_attention(x, w)
-                global_mhsa(x, w)
-            finally:
-                layers_mod.softmax = layers_original
-        finally:
-            autodiff.softmax = original
-        assert captured
-        for a in captured:
+        monkeypatch.setattr(layers_mod, "bmm", spy)
+        rng = np.random.default_rng(9)
+        w = make_weights(8, 2, seed=14)
+        x = Tensor(rng.standard_normal((3, 5, 8)))
+        axial_time_attention(x, w)
+        axial_freq_attention(x, w)
+        global_mhsa(x, w)
+        probabilities = products[1::2]
+        assert len(probabilities) == 3
+        for a in probabilities:
             np.testing.assert_allclose(a.sum(axis=-1), np.ones(a.shape[:-1]), atol=1e-12)
 
 
@@ -448,65 +442,145 @@ def attend_unchunked(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
     return (merged @ w.wo.data).reshape(s, length, d)
 
 
-# (cap, x shape, heads, score chunks, slices recorded, concats recorded).
-# x is (S, L, D) with S*H sequences; caps are small so each path runs.
+# (cap, x shape, heads, score chunks). x is (S, L, D) with S*H sequences;
+# caps are small so each path runs.
 CHUNK_PATHS = {
-    # one chunk covers all 6 sequences of 5x5 scores: today's node list
-    "single": (150, (3, 5, 8), 2, 1, 0, 0),
+    # one chunk covers all 6 sequences of 5x5 scores
+    "single": (150, (3, 5, 8), 2, 1),
     # 4 sequences per chunk (100 // 25), the last chunk holds the other 2
-    "grouped": (100, (3, 5, 8), 2, 2, 6, 1),
-    # 25 > 12 scores per sequence: rows of 12 // 5 = 2 (2, 2, 1) per sequence,
-    # plus one k^T and one v slice per sequence
-    "row-split": (12, (3, 5, 8), 2, 18, 6 * 2 + 18, 1),
+    "grouped": (100, (3, 5, 8), 2, 2),
+    # 25 > 12 scores per sequence: rows of 12 // 5 = 2 (2, 2, 1) per sequence
+    "row-split": (12, (3, 5, 8), 2, 18),
 }
+
+
+def spy_products(monkeypatch) -> list[tuple]:
+    """Log (a, b, out) of every `layers.bmm` call, the attention core's products."""
+    calls = []
+    original = layers_mod.bmm
+
+    def spy(a, b, out):
+        calls.append((a, b, out))
+        return original(a, b, out)
+
+    monkeypatch.setattr(layers_mod, "bmm", spy)
+    return calls
+
+
+def taped_attend(x: np.ndarray, w: AttentionWeights):
+    """attend under a tape and a FLOP counter: output, gradients of x and the
+    weights for a fixed random upstream gradient, FLOP buckets, tape nodes."""
+    xt = Tensor(x, requires_grad=True)
+    leaves = [xt, w.wq, w.wk, w.wv, w.wo]
+    upstream = Tensor(np.random.default_rng(46).standard_normal(x.shape))
+    with FlopCounter() as counter, counter.bucket("block00"):
+        with Tape() as tape:
+            out = attend(xt, w)
+            loss = sum_all(out * upstream)
+        grads = backward(loss, tape, leaves=leaves)
+    return out.data, [grads[t] for t in leaves], counter.buckets, len(tape.nodes)
+
+
+def assert_attend_matches_composed_core(x, w, monkeypatch):
+    """attend with the fused core is bitwise attend with the composed ops."""
+    got = taped_attend(x, w)
+    with monkeypatch.context() as m:
+        m.setattr(layers_mod, "attention_core", composed_attention_core)
+        ref = taped_attend(x, w)
+    assert got[0].tobytes() == ref[0].tobytes()
+    for g, r in zip(got[1], ref[1]):
+        assert g.tobytes() == r.tobytes()
+    assert got[2] == ref[2]
 
 
 class TestChunkedCore:
     """attend's cache-sized chunks against the unchunked core."""
 
-    @staticmethod
-    def spy_calls(monkeypatch, name, log):
-        original = getattr(layers_mod, name)
-
-        def spy(*args, **kwargs):
-            out = original(*args, **kwargs)
-            log.append(out.shape)
-            return out
-
-        monkeypatch.setattr(layers_mod, name, spy)
-
     @pytest.mark.parametrize("path", sorted(CHUNK_PATHS))
     def test_matches_unchunked_core(self, path, monkeypatch):
-        cap, shape, heads, chunks, slices, concats = CHUNK_PATHS[path]
+        cap, shape, heads, chunks = CHUNK_PATHS[path]
         monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
-        logs = {name: [] for name in ("bmm", "slice_", "concat")}
-        for name, log in logs.items():
-            self.spy_calls(monkeypatch, name, log)
+        calls = spy_products(monkeypatch)
         rng = np.random.default_rng(40)
         w = make_weights(shape[2], heads, seed=41)
         x = rng.standard_normal(shape)
         got = attend(Tensor(x), w).data
         np.testing.assert_allclose(got, attend_unchunked(x, w), rtol=1e-12, atol=0)
-        score_blocks = logs["bmm"][0::2]
-        assert len(score_blocks) == chunks
-        assert all(np.prod(b) <= cap for b in score_blocks)
-        assert len(logs["slice_"]) == slices
-        assert len(logs["concat"]) == concats
+        score_blocks = [out for _, _, out in calls[0::2]]
+        assert len(calls) == 2 * chunks
+        assert all(block.size <= cap for block in score_blocks)
 
-    def test_single_chunk_records_the_unchunked_nodes(self, monkeypatch):
-        """At the default cap a desk-sized axial call records the plain core."""
-        logs = {name: [] for name in ("slice_", "concat")}
-        for name, log in logs.items():
-            self.spy_calls(monkeypatch, name, log)
+    @pytest.mark.parametrize("path", sorted(CHUNK_PATHS))
+    def test_bitwise_equal_to_composed_core(self, path, monkeypatch):
+        cap, shape, heads, _ = CHUNK_PATHS[path]
+        monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
+        x = np.random.default_rng(47).standard_normal(shape)
+        assert_attend_matches_composed_core(x, make_weights(shape[2], heads, seed=48),
+                                            monkeypatch)
+
+    @settings(max_examples=40, deadline=None)
+    @given(s=st.integers(1, 3), length=st.integers(1, 7), heads=st.integers(1, 3),
+           dh=st.integers(1, 3), cap=st.integers(1, 120), seed=st.integers(0, 2**16))
+    def test_bitwise_equal_to_composed_core_property(self, s, length, heads, dh, cap, seed):
+        x = np.random.default_rng(seed).standard_normal((s, length, heads * dh))
+        w = make_weights(heads * dh, heads, seed=seed + 1)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
+            assert_attend_matches_composed_core(x, w, m)
+
+    def test_single_chunk_records_the_unchunked_nodes(self):
+        """At the default cap a desk-sized axial call records the core as one node."""
         w = make_weights(32, 4, seed=42)
         x = Tensor(np.random.default_rng(43).standard_normal((14, 24, 32)), requires_grad=True)
         with Tape() as tape:
             axial_freq_attention(x, w)
         ops = [node.grad_fn.__qualname__.split(".")[0] for node in tape.nodes]
-        assert logs == {"slice_": [], "concat": []}
         assert ops == (["reshape"] + ["matmul", "reshape", "transpose", "reshape"] * 3
-                       + ["transpose", "bmm", "softmax", "bmm"]
+                       + ["transpose", "attention_core"]
                        + ["reshape", "transpose", "reshape", "matmul", "reshape"])
+
+    def test_tape_nodes_do_not_grow_with_chunks(self, monkeypatch):
+        w = make_weights(8, 2, seed=49)
+        x = Tensor(np.random.default_rng(50).standard_normal((3, 5, 8)), requires_grad=True)
+        counts = []
+        for cap in (layers_mod.CORE_CHUNK_SCORES, 12):  # 1 chunk, then 30 row chunks
+            monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
+            with Tape() as tape:
+                global_mhsa(x, w)
+            counts.append(len(tape.nodes))
+        assert counts[0] == counts[1]
+
+    def test_backward_memory_stays_chunk_sized(self):
+        """A global (14, 64, 32) call runs 52 row chunks of 73 x 896 scores
+        (511 KiB each). Keeping every chunk's scores for backward, as separate
+        tape ops did, peaked above 50 MiB; recomputing them stays near 6 MiB."""
+        w = make_weights(32, 4, seed=51)
+        x = Tensor(np.random.default_rng(52).standard_normal((14, 64, 32)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = mean_all(global_mhsa(x, w))
+            backward(loss, tape, leaves=[x, w.wq, w.wk, w.wv, w.wo])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("variant", ["axial", "global"])
+    def test_forward_calls_bmm_twice_per_chunk(self, variant, monkeypatch):
+        """perfbench times the core through `layers.bmm`; every chunk's second
+        product takes the probabilities its first one wrote."""
+        monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", 12)
+        calls = spy_products(monkeypatch)
+        cfg = ReceiverConfig(variant=variant, t=3, f=5, n_rx=1, d=8, heads=2, n_blocks=1,
+                             bits_per_symbol=2)
+        Receiver(cfg, seed=0)(random_grid(np.random.default_rng(53), 3, 5, 1))
+        # axial: time L=3 (10 sequences of 9 scores, 1 per chunk) and
+        # frequency L=5 (6 sequences split into 3 row blocks); global: L=15,
+        # rows of 1, 2 heads
+        assert len(calls) == 2 * (10 + 18 if variant == "axial" else 30)
+        for (_, _, scores), (probabilities, _, _) in zip(calls[0::2], calls[1::2]):
+            assert probabilities is scores
 
     def test_row_split_global_gradient(self, monkeypatch):
         monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", 14)  # rows of 2 of 6
