@@ -243,7 +243,7 @@ def receiver_config_from(config: dict[str, dict], variant: str | None = None):
             resnet_channels=model["resnet_channels"],
         )
     except ValueError as err:
-        raise ConfigError(str(err))
+        raise ConfigError(f"[model] {err}")
 
 
 def _header_line(config: dict[str, dict], seed: int) -> str:

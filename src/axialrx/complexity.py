@@ -9,18 +9,19 @@ Data movement (reshape, transpose, chunk views) is free.
 
 The "attention core" is only the two products Q K^T and A V; the 1/sqrt(d_h)
 scaling, softmax, and projections are accounted separately. The scaling
-runs inside the fused core (`autodiff.attention_core`), which still
-charges it one FLOP per score, so the softmax stage costs five FLOPs per
-score (the 5*H*L*L terms below). Under that convention the core cost is
+runs inside the fused operator (`autodiff.multi_head_attention`), which
+still charges it one FLOP per score, so the softmax stage costs five FLOPs
+per score (the 5*H*L*L terms below). Under that convention the core cost is
 exactly 4*(TF)^2*D for global attention and 4*T*F*D*(T+F) for one axial
 block, so their ratio is exactly TF/(T+F).
 
 `layers.attend` runs the core in cache-sized chunks (groups of whole
-sequences, or blocks of query rows of one sequence). Chunking moves no
-FLOP: each chunk charges its two products (`layers.bmm`) to the
-`<block>#core` bucket and its softmax to the enclosing block, and the
-chunks partition the score matrix, so the instrumented counts equal these
-formulas unchanged. Backward recomputes the scores and charges nothing.
+sequences, runs of heads of one sequence, or blocks of query rows of one
+head). Chunking moves no FLOP: each chunk charges its two products
+(`layers.bmm`) to the `<block>#core` bucket and its softmax to the
+enclosing block, and the chunks partition the score matrix, so the
+instrumented counts equal these formulas unchanged. Backward recomputes
+the scores and charges nothing.
 
 Table-level GFLOP/parameter values published for these architectures are
 not reproducible without the unpublished hyperparameters; orderings and

@@ -24,11 +24,11 @@ import numpy as np
 from . import flopcount
 from .autodiff import (
     Tensor,
-    attention_core,
     bias_add,
     conv2d,
     layer_norm,
     matmul,
+    multi_head_attention,
     relu,
     reshape,
     transpose,
@@ -59,7 +59,7 @@ class ReceiverConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.ffn_hidden is None:
             self.ffn_hidden = 2 * self.d
         for key, value, low in (("embedding_dim", self.d, 1), ("heads", self.heads, 1),
@@ -70,9 +70,9 @@ class ReceiverConfig:
             if value < low:
                 raise ValueError(f"{key} must be >= {low}, got {value}")
         if self.d % self.heads != 0:
-            raise ValueError(f"embedding dim {self.d} not divisible by {self.heads} heads")
+            raise ValueError(f"embedding_dim {self.d} is not divisible by heads {self.heads}")
         if self.kernel % 2 == 0:
-            raise ValueError(f"kernel size must be odd, got {self.kernel}")
+            raise ValueError(f"kernel must be odd, got {self.kernel}")
 
     @property
     def head_dim(self) -> int:
@@ -130,8 +130,33 @@ class AttentionWeights:
 def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One attention-core product a @ b into `out`, charged to `<block>#core`."""
     with flopcount.bucket("#core"):
-        flopcount.add(2 * a.shape[0] * a.shape[1] * a.shape[2] * b.shape[2])
+        flopcount.add(2 * a.size * b.shape[-1])
     return np.matmul(a, b, out=out)
+
+
+def core_chunks(s: int, length: int, heads: int) -> list[tuple]:
+    """Chunks (seq, rows) that cut the S*H (L, L) score matrices, one per
+    sequence and head, into pieces of at most CORE_CHUNK_SCORES scores:
+    `seq` is a basic-slice key over the (S, H) leading dims of the head
+    arrays and `rows` a slice of query rows.
+
+    While one matrix fits under the cap, a chunk takes whole sequences with
+    all their heads if H matrices fit, else a run of heads of one sequence.
+    Otherwise each matrix's query rows are split into blocks.
+    """
+    group = CORE_CHUNK_SCORES // (length * length)
+    every = np.s_[:]
+    if group >= s * heads:
+        return [(every, every)]
+    if group >= heads:
+        seqs = group // heads
+        return [(np.s_[i:i + seqs], every) for i in range(0, s, seqs)]
+    if group >= 1:
+        return [(np.s_[i:i + 1, h:h + group], every)
+                for i in range(s) for h in range(0, heads, group)]
+    rows = max(1, CORE_CHUNK_SCORES // length)
+    return [(np.s_[i:i + 1, h:h + 1], np.s_[r:r + rows])
+            for i in range(s) for h in range(heads) for r in range(0, length, rows)]
 
 
 def attend(x: Tensor, w: AttentionWeights) -> Tensor:
@@ -142,42 +167,18 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     wo. The 1/sqrt(d_h) scale runs inside the softmax and is still charged
     one FLOP per score.
 
-    The core runs as one `attention_core` tape node, in chunks of at most
-    CORE_CHUNK_SCORES scores that share one score buffer: whole sequences
-    are grouped while L*L fits under the cap, otherwise each sequence's
-    query rows are split into blocks. Both products of every chunk go
-    through `bmm`, which charges them to `<block>#core`, a `#core` bucket
-    nested in the open one; the softmax (five FLOPs per score) is charged
-    to the open bucket itself, so the per-chunk counts sum to those of one
+    The whole operator is one `multi_head_attention` tape node. Its core
+    runs in the chunks of `core_chunks`, which share one score buffer. Both
+    products of every chunk go through `bmm`, which charges them to
+    `<block>#core`, a `#core` bucket nested in the open one; the
+    projections and the softmax (five FLOPs per score) are charged to the
+    open bucket itself, so the per-chunk counts sum to those of one
     unchunked core. A single chunk (every desk-dims axial call) keeps its
     probabilities for backward; several chunks recompute theirs there.
     """
-    s, length, d = x.shape
-    h, dh = w.heads, w.head_dim
-    n = s * h
-    c = 1.0 / math.sqrt(dh)
-
-    def split_heads(flat: Tensor) -> Tensor:
-        grouped = reshape(flat, (s, length, h, dh))
-        return reshape(transpose(grouped, (0, 2, 1, 3)), (n, length, dh))
-
-    x2 = reshape(x, (s * length, d))
-    q = split_heads(matmul(x2, w.wq))
-    k = split_heads(matmul(x2, w.wk))
-    v = split_heads(matmul(x2, w.wv))
-    kt = transpose(k, (0, 2, 1))
-    group = CORE_CHUNK_SCORES // (length * length)
-    if group >= n:
-        chunks = [(np.s_[:], np.s_[:])]
-    elif group >= 1:
-        chunks = [(np.s_[i:i + group],) * 2 for i in range(0, n, group)]
-    else:
-        rows = max(1, CORE_CHUNK_SCORES // length)
-        chunks = [(np.s_[j:j + 1, r:r + rows], np.s_[j:j + 1])
-                  for j in range(n) for r in range(0, length, rows)]
-    mixed = attention_core(q, kt, v, c, chunks, bmm)
-    merged = reshape(transpose(reshape(mixed, (s, h, length, dh)), (0, 2, 1, 3)), (s * length, d))
-    return reshape(matmul(merged, w.wo), (s, length, d))
+    s, length, _ = x.shape
+    return multi_head_attention(x, w.wq, w.wk, w.wv, w.wo, w.heads,
+                                core_chunks(s, length, w.heads), bmm)
 
 
 def axial_time_attention(x: Tensor, w: AttentionWeights) -> Tensor:

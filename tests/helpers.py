@@ -1,12 +1,14 @@
 """Shared test utilities: finite-difference gradient checking, dense LDPC H,
-the composed attention core that `autodiff.attention_core` must reproduce."""
+the composed attention that `autodiff.multi_head_attention` must reproduce."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from axialrx import flopcount, selftest
-from axialrx.autodiff import Tensor, _record, bmm, reshape, softmax
+from axialrx.autodiff import Tensor, _record, bmm, matmul, reshape, softmax, transpose
 
 
 def gradcheck(build_loss, leaves, step=selftest.FD_STEP, tol=selftest.FD_TOL):
@@ -52,12 +54,11 @@ def _concat(tensors: list[Tensor], axis: int) -> Tensor:
                    tuple(tensors), grad_fn)
 
 
-def composed_attention_core(q: Tensor, kt: Tensor, v: Tensor, scale: float, chunks,
-                            product=None) -> Tensor:
-    """`autodiff.attention_core` as the tape ops it replaced: per chunk, taped
-    slices of q, kt and v, then `bmm` -> scaled `softmax` -> `bmm` with both
-    products charged to `#core`, and one concatenation of the chunks.
-    `product` is accepted for the same signature and ignored."""
+def composed_attention_core(q: Tensor, kt: Tensor, v: Tensor, scale: float, chunks) -> Tensor:
+    """The attention core as tape ops over (N, L, d_h) head-split sequences:
+    per chunk, taped slices of q, kt and v, then `bmm` -> scaled `softmax`
+    -> `bmm` with both products charged to `#core`, and one concatenation
+    of the chunks. A chunk is a pair of basic-slice keys (qkey, kvkey)."""
 
     def core(qc, ktc, vc):
         with flopcount.bucket("#core"):
@@ -75,3 +76,42 @@ def composed_attention_core(q: Tensor, kt: Tensor, v: Tensor, scale: float, chun
         mixed = core(_slice(q, qkey), kv[1], kv[2])
         pieces.append(reshape(mixed, (1, mixed.shape[0] * mixed.shape[1], mixed.shape[2])))
     return reshape(_concat(pieces, axis=1), q.shape[:2] + v.shape[2:])
+
+
+def flat_core_chunks(n: int, length: int, cap: int) -> list[tuple]:
+    """Chunks of at most `cap` scores over n = S*H head-split sequences:
+    groups of whole sequences while L*L fits, else blocks of query rows."""
+    group = cap // (length * length)
+    if group >= n:
+        return [(np.s_[:], np.s_[:])]
+    if group >= 1:
+        return [(np.s_[i:i + group],) * 2 for i in range(0, n, group)]
+    rows = max(1, cap // length)
+    return [(np.s_[j:j + 1, r:r + rows], np.s_[j:j + 1])
+            for j in range(n) for r in range(0, length, rows)]
+
+
+def composed_attend(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: int,
+                    cap: int) -> Tensor:
+    """`autodiff.multi_head_attention` as the tape ops it replaced: taped
+    projections, reshape/transpose/reshape head splits, a transposed copy of
+    K, `composed_attention_core` over chunks of at most `cap` scores, the
+    head merge and the output projection."""
+    s, length, d = x.shape
+    dh = d // heads
+    n = s * heads
+
+    def split_heads(flat: Tensor) -> Tensor:
+        grouped = reshape(flat, (s, length, heads, dh))
+        return reshape(transpose(grouped, (0, 2, 1, 3)), (n, length, dh))
+
+    x2 = reshape(x, (s * length, d))
+    q = split_heads(matmul(x2, wq))
+    k = split_heads(matmul(x2, wk))
+    v = split_heads(matmul(x2, wv))
+    kt = transpose(k, (0, 2, 1))
+    mixed = composed_attention_core(q, kt, v, 1.0 / math.sqrt(dh),
+                                    flat_core_chunks(n, length, cap))
+    merged = reshape(transpose(reshape(mixed, (s, heads, length, dh)), (0, 2, 1, 3)),
+                     (s * length, d))
+    return reshape(matmul(merged, wo), (s, length, d))

@@ -11,7 +11,7 @@ from axialrx.autodiff import (
     DimensionError,
     Tape,
     Tensor,
-    attention_core,
+    _row_max,
     backward,
     bias_add,
     bmm,
@@ -19,6 +19,7 @@ from axialrx.autodiff import (
     layer_norm,
     matmul,
     mean_all,
+    multi_head_attention,
     relu,
     reshape,
     scale,
@@ -27,8 +28,16 @@ from axialrx.autodiff import (
     transpose,
 )
 from axialrx.flopcount import FlopCounter
+import axialrx.layers as layers_mod
 from axialrx.layers import bmm as core_product
-from helpers import composed_attention_core, gradcheck, rand_tensor
+from helpers import composed_attend, gradcheck, rand_tensor
+
+
+def core_chunks_at(cap, s, length, heads):
+    """`layers.core_chunks` with CORE_CHUNK_SCORES set to `cap`."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
+        return layers_mod.core_chunks(s, length, heads)
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -436,54 +445,82 @@ def _bits(a: np.ndarray) -> tuple:
     return a.shape, a.tobytes()
 
 
-# (N, L, dh) of q and v, and the chunk keys `layers.attend` builds for them.
+# (x shape (S, L, D), heads, score cap) for each path of `layers.core_chunks`.
 CORE_PATHS = {
-    "single": ((4, 5, 3), [(np.s_[:], np.s_[:])]),
-    "grouped": ((5, 4, 3), [(np.s_[i:i + 2],) * 2 for i in range(0, 5, 2)]),
-    "row-split": ((3, 5, 2), [(np.s_[j:j + 1, r:r + 2], np.s_[j:j + 1])
-                              for j in range(3) for r in range(0, 5, 2)]),
+    "single": ((2, 5, 6), 2, 100),  # 4 sequences of 25 scores in one chunk
+    "grouped": ((5, 4, 6), 3, 32),  # 2 of the 3 heads of one row per chunk
+    "row-split": ((3, 5, 4), 2, 10),  # query rows of 2, 2, 1 per sequence
 }
 
 
 class TestAttentionCore:
-    """The fused core against the composed slice/bmm/softmax/bmm/concat ops."""
+    """The fused multi-head attention against the composed matmul, head-split,
+    slice/bmm/softmax/bmm/concat, head-merge and matmul ops."""
 
     @staticmethod
-    def run(core, shape, chunks, sharpness):
+    def run(path, sharpness, fused):
+        shape, heads, cap = CORE_PATHS[path]
         rng = np.random.default_rng(30)
-        n, length, dh = shape
-        q = rand_tensor(rng, shape, scale=sharpness)
-        kt = rand_tensor(rng, (n, dh, length))
-        v = rand_tensor(rng, shape)
+        x = rand_tensor(rng, shape)
+        wq = rand_tensor(rng, shape[2:] * 2, scale=sharpness)
+        wk, wv, wo = (rand_tensor(rng, shape[2:] * 2) for _ in range(3))
         w = Tensor(rng.standard_normal(shape))
+        leaves = [x, wq, wk, wv, wo]
         with FlopCounter() as counter, counter.bucket("block00"):
             with Tape() as tape:
-                loss = sum_all(core(q, kt, v, 0.37, chunks, core_product) * w)
-            grads = backward(loss, tape, leaves=[q, kt, v])
-        return loss, [grads[t] for t in (q, kt, v)], counter.buckets, len(tape.nodes)
+                if fused:
+                    chunks = core_chunks_at(cap, shape[0], shape[1], heads)
+                    out = multi_head_attention(*leaves, heads, chunks, core_product)
+                else:
+                    out = composed_attend(*leaves, heads, cap)
+                loss = sum_all(out * w)
+            grads = backward(loss, tape, leaves=leaves)
+        return loss, [grads[t] for t in leaves], counter.buckets, len(tape.nodes)
 
     @pytest.mark.parametrize("sharpness", [1.0, 2000.0])  # 2000: about half the probabilities are 0
     @pytest.mark.parametrize("path", sorted(CORE_PATHS))
     def test_bitwise_equal_to_composed_ops(self, path, sharpness):
-        shape, chunks = CORE_PATHS[path]
-        loss, grads, buckets, nodes = self.run(attention_core, shape, chunks, sharpness)
-        ref_loss, ref_grads, ref_buckets, _ = self.run(composed_attention_core, shape, chunks,
-                                                      sharpness)
+        loss, grads, buckets, nodes = self.run(path, sharpness, fused=True)
+        ref_loss, ref_grads, ref_buckets, _ = self.run(path, sharpness, fused=False)
         assert _bits(loss.data) == _bits(ref_loss.data)
         for g, ref in zip(grads, ref_grads):
             assert _bits(g) == _bits(ref)
         assert buckets == ref_buckets
-        assert nodes == 3  # attention_core, mul, sum_all
+        assert nodes == 3  # multi_head_attention, mul, sum_all
 
     @pytest.mark.parametrize("path", sorted(CORE_PATHS))
     def test_gradient(self, path):
-        shape, chunks = CORE_PATHS[path]
+        shape, heads, cap = CORE_PATHS[path]
         rng = np.random.default_rng(32)
-        q, v = rand_tensor(rng, shape), rand_tensor(rng, shape)
-        kt = rand_tensor(rng, (shape[0], shape[2], shape[1]))
+        leaves = [rand_tensor(rng, shape)] + [rand_tensor(rng, shape[2:] * 2) for _ in range(4)]
         w = Tensor(rng.standard_normal(shape))
-        gradcheck(lambda: sum_all(attention_core(q, kt, v, 0.8, chunks, core_product) * w),
-                  [q, kt, v])
+        chunks = core_chunks_at(cap, shape[0], shape[1], heads)
+        gradcheck(lambda: sum_all(multi_head_attention(*leaves, heads, chunks, core_product) * w),
+                  leaves)
+
+    def test_rejects_mismatched_shapes(self):
+        x, w = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 4)))
+        with pytest.raises(DimensionError, match="not divisible"):
+            multi_head_attention(x, w, w, w, w, 3, [(np.s_[:], np.s_[:])], core_product)
+        with pytest.raises(DimensionError, match=r"\(D, D\)"):
+            multi_head_attention(x, w, w, Tensor(np.ones((4, 3))), w, 2, [], core_product)
+
+
+@pytest.mark.parametrize("columns", [1, 2, 14, 31, 32, 40])
+def test_row_max_matches_reduction(columns):
+    """Column loop and reduction give the same maximum, and the same bits
+    after exp(p - max), with rows of mixed-sign zeros and a NaN."""
+    rng = np.random.default_rng(33)
+    p = rng.standard_normal((3, 5, columns))
+    p[0, 0] = 0.0
+    p[0, 1, ::2] = -0.0
+    p[0, 1, 1::2] = -1.0
+    p[1, 2, -1] = np.nan
+    got, ref = _row_max(p), p.max(axis=-1, keepdims=True)
+    assert got.shape == ref.shape
+    np.testing.assert_array_equal(got, ref)
+    with np.errstate(invalid="ignore"):
+        assert _bits(np.exp(p - got)) == _bits(np.exp(p - ref))
 
 
 class TestTapeBehavior:

@@ -1,7 +1,14 @@
 """Binary parameter checkpoint format."""
 
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from axialrx.autodiff import Tensor
 from axialrx.checkpoint import MAGIC, CheckpointError, load, save
@@ -90,3 +97,44 @@ def test_receiver_state_round_trip(tmp_path):
     clone.load_state(load(str(path)))
     for name, tensor in model.named_parameters().items():
         np.testing.assert_array_equal(clone.named_parameters()[name].data, tensor.data)
+
+
+PARAMETERS = st.dictionaries(
+    st.text(st.characters(codec="utf-8"), max_size=8),
+    st.lists(st.integers(0, 3), max_size=4).flatmap(
+        lambda shape: hnp.arrays(np.float64, tuple(shape),
+                                 elements=st.floats(allow_nan=False, allow_infinity=False))),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=PARAMETERS)
+def test_round_trip_property(params):
+    """Any UTF-8 names and ranks 0-4, zero-size dims included, load back
+    bitwise. A Tensor holds a rank-0 value as shape (1,), so it loads so."""
+    tensors = {name: Tensor(value) for name, value in params.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.axrx")
+        save(tensors, path)
+        loaded = load(path)
+    assert list(loaded) == sorted(params)
+    for name, value in params.items():
+        assert loaded[name].shape == (value.shape or (1,))
+        assert loaded[name].tobytes() == tensors[name].data.tobytes() == value.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=PARAMETERS, pick=st.integers(0, 2**16), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_payload_rejected_property(params, pick, bad):
+    """One NaN or inf anywhere is rejected with the parameter's name in the message."""
+    sized = sorted(name for name, value in params.items() if value.size)
+    assume(sized)
+    name = sized[pick % len(sized)]
+    poisoned = params[name].copy()
+    poisoned.reshape(-1)[pick % poisoned.size] = bad
+    params = {**params, name: poisoned}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "p.axrx")
+        save({n: Tensor(value) for n, value in params.items()}, path)
+        with pytest.raises(CheckpointError, match=re.escape(repr(name))):
+            load(path)

@@ -202,9 +202,12 @@ class TestConfigValidation:
         ("embedding_dim = 8", "embedding_dim = 8\nresnet_channels = 0", "resnet_channels"),
         ("batch_size = 2", "batch_size = 2\nseed = -1", "[train] seed"),
         ("blocks = 1", "blocks = 1\ninit_seed = -1", "[model] init_seed"),
+        ("heads = 2", "heads = 3", "[model] embedding_dim 8 is not divisible by heads 3"),
+        ("embedding_dim = 8", "embedding_dim = 8\nkernel = 2", "[model] kernel"),
     ], ids=["negative-steps", "zero-batch", "nan-lr", "inf-lr", "zero-lr", "negative-lr",
             "zero-embedding", "negative-blocks", "negative-kernel", "negative-ffn",
-            "zero-resnet-channels", "negative-seed", "negative-init-seed"])
+            "zero-resnet-channels", "negative-seed", "negative-init-seed", "heads-not-divisor",
+            "even-kernel"])
     def test_bad_train_or_model_value(self, old, new, key, tmp_path, capsys, monkeypatch):
         import axialrx.cli as cli
 

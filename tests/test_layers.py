@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import axialrx.layers as layers_mod
 from axialrx.autodiff import Tape, Tensor, backward, bmm, mean_all, softmax, sum_all
+from axialrx.cli import load_config, receiver_config_from
 from axialrx.complexity import model_report
 from axialrx.flopcount import FlopCounter
 from axialrx.layers import (
@@ -25,7 +26,8 @@ from axialrx.layers import (
     global_mhsa,
     input_features,
 )
-from helpers import composed_attention_core, gradcheck
+from axialrx.trainer import bce_loss
+from helpers import composed_attend, gradcheck
 
 
 class FakeGrid:
@@ -467,30 +469,48 @@ def spy_products(monkeypatch) -> list[tuple]:
     return calls
 
 
-def taped_attend(x: np.ndarray, w: AttentionWeights):
-    """attend under a tape and a FLOP counter: output, gradients of x and the
-    weights for a fixed random upstream gradient, FLOP buckets, tape nodes."""
+def taped_attention(op, x: np.ndarray, w: AttentionWeights):
+    """An attention operator under a tape and a FLOP counter: output,
+    gradients of x and the weights for a fixed random upstream gradient,
+    FLOP buckets, tape nodes."""
     xt = Tensor(x, requires_grad=True)
     leaves = [xt, w.wq, w.wk, w.wv, w.wo]
     upstream = Tensor(np.random.default_rng(46).standard_normal(x.shape))
     with FlopCounter() as counter, counter.bucket("block00"):
         with Tape() as tape:
-            out = attend(xt, w)
+            out = op(xt, w)
             loss = sum_all(out * upstream)
         grads = backward(loss, tape, leaves=leaves)
     return out.data, [grads[t] for t in leaves], counter.buckets, len(tape.nodes)
 
 
-def assert_attend_matches_composed_core(x, w, monkeypatch):
-    """attend with the fused core is bitwise attend with the composed ops."""
-    got = taped_attend(x, w)
+def composed_oracle(x: Tensor, w: AttentionWeights) -> Tensor:
+    """`attend` as the composed tape ops, at the current chunk cap."""
+    return composed_attend(x, w.wq, w.wk, w.wv, w.wo, w.heads, layers_mod.CORE_CHUNK_SCORES)
+
+
+def assert_matches_composed(op, x, w, monkeypatch):
+    """`op` with the fused attention is bitwise `op` with the composed ops:
+    output, every gradient and every FLOP bucket."""
+    got = taped_attention(op, x, w)
     with monkeypatch.context() as m:
-        m.setattr(layers_mod, "attention_core", composed_attention_core)
-        ref = taped_attend(x, w)
+        m.setattr(layers_mod, "attend", composed_oracle)
+        ref = taped_attention(op, x, w)
     assert got[0].tobytes() == ref[0].tobytes()
     for g, r in zip(got[1], ref[1]):
         assert g.tobytes() == r.tobytes()
     assert got[2] == ref[2]
+
+
+# Score caps that send each operator on a (3, 5, 8) grid with 2 heads down
+# each chunk path: time attention runs 5 sequences of L=3, frequency 3 of
+# L=5 and global 1 of L=15, each times 2 heads.
+OPERATOR_CAPS = {
+    "time": {"single": 90, "grouped": 40, "row-split": 8},  # groups of 2 rows of S
+    "freq": {"single": 150, "grouped": 30, "row-split": 8},  # runs of 1 head
+    "global": {"single": 450, "grouped": 300, "row-split": 100},  # runs of 1 head
+}
+OPERATORS = {"time": axial_time_attention, "freq": axial_freq_attention, "global": global_mhsa}
 
 
 class TestChunkedCore:
@@ -515,8 +535,15 @@ class TestChunkedCore:
         cap, shape, heads, _ = CHUNK_PATHS[path]
         monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
         x = np.random.default_rng(47).standard_normal(shape)
-        assert_attend_matches_composed_core(x, make_weights(shape[2], heads, seed=48),
-                                            monkeypatch)
+        assert_matches_composed(attend, x, make_weights(shape[2], heads, seed=48), monkeypatch)
+
+    @pytest.mark.parametrize("path", ["single", "grouped", "row-split"])
+    @pytest.mark.parametrize("operator", sorted(OPERATORS))
+    def test_operator_bitwise_equal_to_composed(self, operator, path, monkeypatch):
+        monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", OPERATOR_CAPS[operator][path])
+        x = np.random.default_rng(54).standard_normal((3, 5, 8))
+        assert_matches_composed(OPERATORS[operator], x, make_weights(8, 2, seed=55),
+                                monkeypatch)
 
     @settings(max_examples=40, deadline=None)
     @given(s=st.integers(1, 3), length=st.integers(1, 7), heads=st.integers(1, 3),
@@ -526,18 +553,27 @@ class TestChunkedCore:
         w = make_weights(heads * dh, heads, seed=seed + 1)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
-            assert_attend_matches_composed_core(x, w, m)
+            assert_matches_composed(attend, x, w, m)
 
     def test_single_chunk_records_the_unchunked_nodes(self):
-        """At the default cap a desk-sized axial call records the core as one node."""
+        """At the default cap a desk-sized axial call records one node."""
         w = make_weights(32, 4, seed=42)
         x = Tensor(np.random.default_rng(43).standard_normal((14, 24, 32)), requires_grad=True)
         with Tape() as tape:
             axial_freq_attention(x, w)
         ops = [node.grad_fn.__qualname__.split(".")[0] for node in tape.nodes]
-        assert ops == (["reshape"] + ["matmul", "reshape", "transpose", "reshape"] * 3
-                       + ["transpose", "attention_core"]
-                       + ["reshape", "transpose", "reshape", "matmul", "reshape"])
+        assert ops == ["multi_head_attention"]
+
+    def test_taped_desk_axial_grid_records_at_most_40_nodes(self):
+        """Forward and BCE loss of one desk axial grid: 115 nodes when each
+        attention operator recorded its projections, head splits and merge."""
+        cfg = receiver_config_from(load_config(None, "desk"))
+        model = Receiver(cfg, seed=0)
+        grid = random_grid(np.random.default_rng(56), cfg.t, cfg.f, cfg.n_rx)
+        bits = np.random.default_rng(57).integers(0, 2, (cfg.t, cfg.f, cfg.bits_per_symbol))
+        with Tape() as tape:
+            bce_loss(model(grid), bits, np.ones((cfg.t, cfg.f), dtype=bool))
+        assert len(tape.nodes) <= 40
 
     def test_tape_nodes_do_not_grow_with_chunks(self, monkeypatch):
         w = make_weights(8, 2, seed=49)
