@@ -16,8 +16,8 @@ exactly 4*(TF)^2*D for global attention and 4*T*F*D*(T+F) for one axial
 block, so their ratio is exactly TF/(T+F).
 
 `layers.attend` runs the core in cache-sized chunks (groups of whole
-sequences, runs of heads of one sequence, or blocks of query rows of one
-head). Chunking moves no FLOP: each chunk charges its two products
+sequences with all their heads, or blocks of query rows of one head).
+Chunking moves no FLOP: each chunk charges its two products
 (`layers.bmm`) to the `<block>#core` bucket and its softmax to the
 enclosing block, and the chunks partition the score matrix, so the
 instrumented counts equal these formulas unchanged. Backward recomputes

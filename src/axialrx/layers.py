@@ -140,9 +140,10 @@ def core_chunks(s: int, length: int, heads: int) -> list[tuple]:
     `seq` is a basic-slice key over the (S, H) leading dims of the head
     arrays and `rows` a slice of query rows.
 
-    While one matrix fits under the cap, a chunk takes whole sequences with
-    all their heads if H matrices fit, else a run of heads of one sequence.
-    Otherwise each matrix's query rows are split into blocks.
+    While a sequence's H matrices fit under the cap, a chunk takes whole
+    sequences with all their heads. Otherwise each matrix's query rows are
+    split into blocks; where a whole matrix fits, its one block spans every
+    row.
     """
     group = CORE_CHUNK_SCORES // (length * length)
     every = np.s_[:]
@@ -151,9 +152,6 @@ def core_chunks(s: int, length: int, heads: int) -> list[tuple]:
     if group >= heads:
         seqs = group // heads
         return [(np.s_[i:i + seqs], every) for i in range(0, s, seqs)]
-    if group >= 1:
-        return [(np.s_[i:i + 1, h:h + group], every)
-                for i in range(s) for h in range(0, heads, group)]
     rows = max(1, CORE_CHUNK_SCORES // length)
     return [(np.s_[i:i + 1, h:h + 1], np.s_[r:r + rows])
             for i in range(s) for h in range(heads) for r in range(0, length, rows)]

@@ -448,7 +448,7 @@ def _bits(a: np.ndarray) -> tuple:
 # (x shape (S, L, D), heads, score cap) for each path of `layers.core_chunks`.
 CORE_PATHS = {
     "single": ((2, 5, 6), 2, 100),  # 4 sequences of 25 scores in one chunk
-    "grouped": ((5, 4, 6), 3, 32),  # 2 of the 3 heads of one row per chunk
+    "grouped": ((5, 4, 6), 3, 96),  # 2, 2, 1 sequences with their 3 heads per chunk
     "row-split": ((3, 5, 4), 2, 10),  # query rows of 2, 2, 1 per sequence
 }
 

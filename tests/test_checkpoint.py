@@ -2,6 +2,7 @@
 
 import os
 import re
+import struct
 import tempfile
 
 import numpy as np
@@ -99,9 +100,11 @@ def test_receiver_state_round_trip(tmp_path):
         np.testing.assert_array_equal(clone.named_parameters()[name].data, tensor.data)
 
 
+# Ranks 1-4 only: `Tensor` turns a 0-d array into shape (1,), so `save`
+# cannot write a rank-0 record; `test_loads_rank_zero_record` covers `load`'s.
 PARAMETERS = st.dictionaries(
     st.text(st.characters(codec="utf-8"), max_size=8),
-    st.lists(st.integers(0, 3), max_size=4).flatmap(
+    st.lists(st.integers(0, 3), min_size=1, max_size=4).flatmap(
         lambda shape: hnp.arrays(np.float64, tuple(shape),
                                  elements=st.floats(allow_nan=False, allow_infinity=False))),
     min_size=1, max_size=4)
@@ -110,8 +113,8 @@ PARAMETERS = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(params=PARAMETERS)
 def test_round_trip_property(params):
-    """Any UTF-8 names and ranks 0-4, zero-size dims included, load back
-    bitwise. A Tensor holds a rank-0 value as shape (1,), so it loads so."""
+    """Any UTF-8 names and ranks 1-4, zero-size dims included, load back
+    bitwise."""
     tensors = {name: Tensor(value) for name, value in params.items()}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.axrx")
@@ -119,8 +122,25 @@ def test_round_trip_property(params):
         loaded = load(path)
     assert list(loaded) == sorted(params)
     for name, value in params.items():
-        assert loaded[name].shape == (value.shape or (1,))
-        assert loaded[name].tobytes() == tensors[name].data.tobytes() == value.tobytes()
+        assert loaded[name].shape == value.shape
+        assert loaded[name].tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("value", [2.5, -0.0, np.nan])
+def test_loads_rank_zero_record(tmp_path, value):
+    """A rank-0 record has no dims and one float64; it loads as shape (),
+    or is rejected by name if it is not finite."""
+    path = tmp_path / "scalar.axrx"
+    path.write_bytes(MAGIC + struct.pack("<I", 3) + "né".encode("utf-8")
+                     + struct.pack("<I", 0) + struct.pack("<d", value))
+    if np.isnan(value):
+        with pytest.raises(CheckpointError, match=re.escape(repr("né"))):
+            load(str(path))
+        return
+    loaded = load(str(path))
+    assert list(loaded) == ["né"]
+    assert loaded["né"].shape == ()
+    assert loaded["né"].tobytes() == np.float64(value).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

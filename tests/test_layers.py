@@ -506,9 +506,10 @@ def assert_matches_composed(op, x, w, monkeypatch):
 # each chunk path: time attention runs 5 sequences of L=3, frequency 3 of
 # L=5 and global 1 of L=15, each times 2 heads.
 OPERATOR_CAPS = {
-    "time": {"single": 90, "grouped": 40, "row-split": 8},  # groups of 2 rows of S
-    "freq": {"single": 150, "grouped": 30, "row-split": 8},  # runs of 1 head
-    "global": {"single": 450, "grouped": 300, "row-split": 100},  # runs of 1 head
+    "time": {"single": 90, "grouped": 40, "row-split": 8},  # 2, 2, 1 sequences per chunk
+    "freq": {"single": 150, "grouped": 100, "row-split": 8},  # 2, 1 sequences per chunk
+    # One sequence cannot be grouped; at 300 each head's one row block spans all 15 rows.
+    "global": {"single": 450, "grouped": 300, "row-split": 100},
 }
 OPERATORS = {"time": axial_time_attention, "freq": axial_freq_attention, "global": global_mhsa}
 
