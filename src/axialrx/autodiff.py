@@ -38,7 +38,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "_src_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self._src_tape = None
 
@@ -55,7 +55,7 @@ class Tensor:
         return self.data.ndim
 
     def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
+        return self.data.item()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -248,35 +248,30 @@ def sum_all(x: Tensor) -> Tensor:
     flopcount.add(x.size)
     out = Tensor(x.data.sum())
     xshape = x.shape
-    return _record(out, (x,), lambda g: (np.full(xshape, g.reshape(-1)[0]),))
+    return _record(out, (x,), lambda g: (np.full(xshape, g),))
 
 
 def mean_all(x: Tensor) -> Tensor:
     flopcount.add(x.size)
     out = Tensor(x.data.mean())
     xshape, n = x.shape, x.size
-    return _record(out, (x,), lambda g: (np.full(xshape, g.reshape(-1)[0] / n),))
+    return _record(out, (x,), lambda g: (np.full(xshape, g / n),))
 
 
 # ---------------------------------------------------------------------------
 # neural-network primitives
 
 
-def softmax(x: Tensor, axis: int, scale: float | None = None) -> Tensor:
-    """Max-stabilized softmax of scale*x; each slice along `axis` sums to one.
+def softmax(x: Tensor, axis: int) -> Tensor:
+    """Max-stabilized softmax; each slice along `axis` sums to one.
 
-    One tape node and one score-sized buffer each way. With `scale=c` the
-    in-place steps are the IEEE operations of `softmax(scale(x, c), axis)`
-    in the same order, so values and gradients are bitwise those of the
-    two-op composition, and so is the FLOP charge: one per element for the
-    scale plus four for the softmax.
+    One tape node and one x-sized buffer each way, charged four FLOPs per
+    element.
     """
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    flopcount.add((4 if scale is None else 5) * x.size)
-    c = 1.0 if scale is None else float(scale)
-    y = x.data * c
-    y -= y.max(axis=axis, keepdims=True)
+    flopcount.add(4 * x.size)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
@@ -286,8 +281,6 @@ def softmax(x: Tensor, axis: int, scale: float | None = None) -> Tensor:
         s = gx.sum(axis=axis, keepdims=True)
         np.subtract(g, s, out=gx)
         gx *= y
-        if scale is not None:
-            gx *= c
         return (gx,)
 
     return _record(out, (x,), grad_fn)
@@ -331,7 +324,7 @@ def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tens
     every score five, to the open bucket.
 
     The steps are the IEEE operations of the composition of `matmul`,
-    reshape/transpose head splits, `bmm`, the scaled `softmax`, `bmm`, the
+    reshape/transpose head splits, `bmm`, `scale`, `softmax`, `bmm`, the
     head merge and `matmul` in the same order (the row maximum is exact,
     however `_row_max` takes it), and a matrix product on a view of another
     leading dimension gives the bits of the same product on a contiguous
@@ -463,7 +456,7 @@ def bce_with_logits(x: Tensor, bits: np.ndarray, mask: np.ndarray) -> Tensor:
     out = Tensor((per_element * mask_f).sum() * c)
 
     def grad_fn(g):
-        gm = np.full(xd.shape, (g * c).reshape(-1)[0]) * mask_f
+        gm = np.full(xd.shape, g * c) * mask_f
         return ((-gm) * bits + gm * (xd > 0.0) + ((gm / (1.0 + e)) * e) * -1.0 * np.sign(xd),)
 
     return _record(out, (x,), grad_fn)

@@ -6,8 +6,8 @@ uniform power-delay-profile correlation (sinc kernel, configurable assumed
 delay spread), and linear interpolation between pilot symbols in time,
 held constant outside them. Equalization is per-RE maximum-ratio MMSE
 combining across antennas. Both a max-log and an exact log-MAP demapper
-are provided; the exact one exists mainly as the oracle for the max-log
-path and for the perfect-CSI reference receiver.
+are provided; both receivers here, LS-LMMSE and the perfect-CSI reference,
+demap with max-log, and the exact one is the oracle that checks it.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ checkpoints byte-identical for identical parameter sets.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -25,7 +26,7 @@ def save(params: dict[str, Tensor], path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         for name in sorted(params):
-            data = np.ascontiguousarray(params[name].data, dtype="<f8")
+            data = np.asarray(params[name].data, dtype="<f8", order="C")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
@@ -61,8 +62,8 @@ def load(path: str) -> dict[str, np.ndarray]:
         (name_len,) = struct.unpack("<I", take(4))
         name = take(name_len).decode("utf-8")
         (rank,) = struct.unpack("<I", take(4))
-        dims = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        count = int(np.prod(dims)) if rank else 1
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
+        count = math.prod(dims)
         payload = take(8 * count)
         if name in out:
             raise CheckpointError(f"{path}: parameter {name!r} appears twice")

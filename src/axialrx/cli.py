@@ -163,8 +163,8 @@ def _check_link(config: dict[str, dict]) -> None:
         if config["channel"][key] < 1:
             raise ConfigError(f"[channel] {key} must be >= 1, got {config['channel'][key]}")
     link = config["link"]
-    if abs(link["code_rate"] - 0.5) > 1e-9:
-        raise ConfigError(f"only code_rate 0.5 is supported, got {link['code_rate']}")
+    if not abs(link["code_rate"] - 0.5) <= 1e-9:  # NaN fails this test
+        raise ConfigError(f"[link] code_rate must be 0.5, got {link['code_rate']}")
     for key in ("ofdm_symbols", "subcarriers", "rx_antennas"):
         if link[key] < 1:
             raise ConfigError(f"[link] {key} must be >= 1, got {link[key]}")
@@ -210,7 +210,6 @@ def link_from_config(config: dict[str, dict]) -> LinkConfig:
         subcarrier_spacing_hz=link["subcarrier_spacing_hz"],
         carrier_hz=link["carrier_frequency_hz"],
         order=link["modulation_order"],
-        code_rate=link["code_rate"],
         snr_db=(link["snr_db_min"], link["snr_db_max"]),
         velocity_mps=(link["velocity_min_mps"], link["velocity_max_mps"]),
         delay_spread_s=(link["delay_spread_min_ns"] * 1e-9,

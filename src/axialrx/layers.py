@@ -75,10 +75,6 @@ class ReceiverConfig:
             raise ValueError(f"kernel must be odd, got {self.kernel}")
 
     @property
-    def head_dim(self) -> int:
-        return self.d // self.heads
-
-    @property
     def input_channels(self) -> int:
         return 2 * self.n_rx + 1
 
@@ -116,11 +112,7 @@ class AttentionWeights:
     """
 
     def __init__(self, d: int, heads: int, rng: np.random.Generator):
-        if d % heads != 0:
-            raise ValueError(f"embedding dim {d} not divisible by {heads} heads")
-        self.d = d
         self.heads = heads
-        self.head_dim = d // heads
         self.wq = _he_normal(rng, (d, d), d)
         self.wk = _he_normal(rng, (d, d), d)
         self.wv = _he_normal(rng, (d, d), d)
@@ -141,17 +133,14 @@ def core_chunks(s: int, length: int, heads: int) -> list[tuple]:
     arrays and `rows` a slice of query rows.
 
     While a sequence's H matrices fit under the cap, a chunk takes whole
-    sequences with all their heads. Otherwise each matrix's query rows are
-    split into blocks; where a whole matrix fits, its one block spans every
-    row.
+    sequences with all their heads, so one chunk covers a call whose S*H
+    matrices all fit. Otherwise each matrix's query rows are split into
+    blocks; where a whole matrix fits, its one block spans every row.
     """
     group = CORE_CHUNK_SCORES // (length * length)
-    every = np.s_[:]
-    if group >= s * heads:
-        return [(every, every)]
     if group >= heads:
         seqs = group // heads
-        return [(np.s_[i:i + seqs], every) for i in range(0, s, seqs)]
+        return [(np.s_[i:i + seqs], np.s_[:]) for i in range(0, s, seqs)]
     rows = max(1, CORE_CHUNK_SCORES // length)
     return [(np.s_[i:i + 1, h:h + 1], np.s_[r:r + rows])
             for i in range(s) for h in range(heads) for r in range(0, length, rows)]
@@ -162,8 +151,8 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
 
     x: (S, L, D) of S sequences. Scores Q K^T / sqrt(d_h) are softmaxed per
     row and applied to V per head; heads are concatenated and projected by
-    wo. The 1/sqrt(d_h) scale runs inside the softmax and is still charged
-    one FLOP per score.
+    wo. The op scales the scores by 1/sqrt(d_h) in place, charging one FLOP
+    per score.
 
     The whole operator is one `multi_head_attention` tape node. Its core
     runs in the chunks of `core_chunks`, which share one score buffer. Both
@@ -211,8 +200,6 @@ class FeedForward:
     """Position-wise D -> hidden -> D with ReLU."""
 
     def __init__(self, d: int, hidden: int, rng: np.random.Generator):
-        self.d = d
-        self.hidden = hidden
         self.w1 = _he_normal(rng, (d, hidden), d)
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
         self.w2 = _he_normal(rng, (hidden, d), hidden)
@@ -341,11 +328,11 @@ class Receiver:
         if missing or extra:
             raise ValueError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
         for name, tensor in params.items():
-            value = np.asarray(state[name], dtype=np.float64)
+            value = np.asarray(state[name], dtype=np.float64, order="C")
             if value.shape != tensor.shape:
                 raise ValueError(f"parameter {name}: checkpoint shape {value.shape} "
                                  f"!= model shape {tensor.shape}")
-            tensor.data = np.ascontiguousarray(value)
+            tensor.data = value
 
 
 def attention_projection_params(variant: str, d: int) -> int:

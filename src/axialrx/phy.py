@@ -95,7 +95,6 @@ class LinkConfig:
     subcarrier_spacing_hz: float = 30e3
     carrier_hz: float = 3.5e9
     order: int = 64
-    code_rate: float = 0.5
     snr_db: tuple[float, float] = (0.0, 15.0)
     velocity_mps: tuple[float, float] = (0.0, 50.0)
     delay_spread_s: tuple[float, float] = (10e-9, 100e-9)

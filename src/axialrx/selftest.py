@@ -77,6 +77,24 @@ def check_gradients() -> tuple[str, bool, str]:
     return ("gradient finite-difference", True, "matmul/softmax/layer_norm/conv2d")
 
 
+def check_attention_gradients() -> tuple[str, bool, str]:
+    """Finite differences of the attention op receivers run, products through
+    `layers.bmm`: one chunk, then each (sequence, head) in query rows 0:2, 2:3."""
+    rng = np.random.default_rng(5)
+    x = ad.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    ws = [ad.Tensor(rng.standard_normal((4, 4)) * 0.5, requires_grad=True) for _ in range(4)]
+    r = ad.Tensor(rng.standard_normal((2, 3, 4)))
+    row_split = [(np.s_[i:i + 1, h:h + 1], np.s_[j:j + 2])
+                 for i in (0, 1) for h in (0, 1) for j in (0, 2)]
+    try:
+        for chunks in ([(np.s_[:], np.s_[:])], row_split):
+            gradcheck(lambda: ad.sum_all(ad.multi_head_attention(x, *ws, 2, chunks, layers.bmm)
+                                         * r), [x, *ws])
+    except AssertionError as err:
+        return ("attention gradient finite-difference", False, str(err))
+    return ("attention gradient finite-difference", True, "one chunk and row-split chunks")
+
+
 def check_softmax_rows() -> tuple[str, bool, str]:
     rng = np.random.default_rng(1)
     y = ad.softmax(ad.Tensor(rng.standard_normal((8, 13)) * 20.0), axis=1)
@@ -155,6 +173,7 @@ def check_flops() -> tuple[str, bool, str]:
 
 ALL_CHECKS = (
     check_gradients,
+    check_attention_gradients,
     check_softmax_rows,
     check_degenerate_equivalence,
     check_demapper,

@@ -188,7 +188,6 @@ class LinkSimulator:
 @dataclass
 class TrainResult:
     trace: list[tuple[int, float, float, float]]  # (step, loss, snr_db, velocity)
-    state: AdamState
 
 
 def train(model: Receiver, sim: LinkSimulator, cfg: TrainConfig,
@@ -237,7 +236,7 @@ def train(model: Receiver, sim: LinkSimulator, cfg: TrainConfig,
         if checkpoint_fn is not None and cfg.checkpoint_every > 0 \
                 and (step + 1) % cfg.checkpoint_every == 0:
             checkpoint_fn(step + 1, model)
-    return TrainResult(trace=trace, state=state)
+    return TrainResult(trace=trace)
 
 
 ReceiverFn = Callable[[phy.ResourceGrid, dict], np.ndarray]

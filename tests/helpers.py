@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from axialrx import flopcount, selftest
-from axialrx.autodiff import Tensor, _record, bmm, matmul, reshape, softmax, transpose
+from axialrx.autodiff import Tensor, _record, bmm, matmul, reshape, scale, softmax, transpose
 
 
 def gradcheck(build_loss, leaves, step=selftest.FD_STEP, tol=selftest.FD_TOL):
@@ -54,16 +54,17 @@ def _concat(tensors: list[Tensor], axis: int) -> Tensor:
                    tuple(tensors), grad_fn)
 
 
-def composed_attention_core(q: Tensor, kt: Tensor, v: Tensor, scale: float, chunks) -> Tensor:
+def composed_attention_core(q: Tensor, kt: Tensor, v: Tensor, c: float, chunks) -> Tensor:
     """The attention core as tape ops over (N, L, d_h) head-split sequences:
-    per chunk, taped slices of q, kt and v, then `bmm` -> scaled `softmax`
-    -> `bmm` with both products charged to `#core`, and one concatenation
-    of the chunks. A chunk is a pair of basic-slice keys (qkey, kvkey)."""
+    per chunk, taped slices of q, kt and v, then `bmm` -> `scale` by c ->
+    `softmax` -> `bmm` with both products charged to `#core`, and one
+    concatenation of the chunks. A chunk is a pair of basic-slice keys
+    (qkey, kvkey)."""
 
     def core(qc, ktc, vc):
         with flopcount.bucket("#core"):
             scores = bmm(qc, ktc)
-        attn = softmax(scores, axis=-1, scale=scale)
+        attn = softmax(scale(scores, c), axis=-1)
         with flopcount.bucket("#core"):
             return bmm(attn, vc)
 

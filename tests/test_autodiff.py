@@ -13,6 +13,7 @@ from axialrx.autodiff import (
     Tensor,
     _row_max,
     backward,
+    bce_with_logits,
     bias_add,
     bmm,
     conv2d,
@@ -139,52 +140,11 @@ class TestSoftmax:
         with pytest.raises(DimensionError):
             softmax(Tensor([1.0, 2.0]), axis=3)
 
-
-# Attention score shapes (S*H, L, L) for T=14, F=8, H=2: time, freq, global.
-SCORE_SHAPES = [(16, 14, 14), (28, 8, 8), (2, 112, 112)]
-
-
-class TestScaledSoftmax:
-    """softmax(x, axis, scale=c) against the two-op reference softmax(scale(x, c), axis)."""
-
-    @staticmethod
-    def forward_and_grad(build, x, w):
-        with Tape() as tape:
-            out = build(x)
-            loss = sum_all(out * w)
-        return out.data, backward(loss, tape, leaves=[x])[x], len(tape.nodes)
-
-    @pytest.mark.parametrize("shape", SCORE_SHAPES)
-    @pytest.mark.parametrize("c", [1.0 / np.sqrt(3.0), 1.0])
-    def test_bitwise_equal_to_composition(self, shape, c):
-        rng = np.random.default_rng(31)
-        x = rand_tensor(rng, shape, scale=4.0)
-        w = Tensor(rng.standard_normal(shape))
-        fused, fused_grad, fused_nodes = self.forward_and_grad(
-            lambda t: softmax(t, axis=-1, scale=c), x, w)
-        ref, ref_grad, ref_nodes = self.forward_and_grad(
-            lambda t: softmax(scale(t, c), axis=-1), x, w)
-        np.testing.assert_array_equal(fused, ref)
-        np.testing.assert_array_equal(fused_grad, ref_grad)
-        assert fused_nodes == ref_nodes - 1
-
-    def test_gradient(self):
-        rng = np.random.default_rng(32)
-        x = rand_tensor(rng, (3, 5))
-        w = rand_tensor(rng, (3, 5))
-        gradcheck(lambda: sum_all(softmax(x, axis=1, scale=0.37) * w), [x])
-
     def test_flop_count(self):
         x = Tensor(np.zeros((2, 3, 4)))
-        for c in (0.25, 1.0):
-            with FlopCounter() as fused:
-                softmax(x, axis=-1, scale=c)
-            with FlopCounter() as ref:
-                softmax(scale(x, c), axis=-1)
-            assert fused.total == ref.total == 5 * x.size
-        with FlopCounter() as unscaled:
+        with FlopCounter() as counter:
             softmax(x, axis=-1)
-        assert unscaled.total == 4 * x.size
+        assert counter.total == 4 * x.size
 
 
 class TestLayerNorm:
@@ -309,6 +269,16 @@ class TestConv2d:
 
 
 class TestBackward:
+    def test_scalars_keep_rank_zero(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        bits = np.ones((2, 3))
+        losses = (sum_all(x), mean_all(x), bce_with_logits(x, bits, bits > 0), Tensor(0.5))
+        for loss in losses:
+            assert loss.shape == () and isinstance(loss.item(), float)
+        with Tape() as tape:
+            loss = mean_all(x)
+        np.testing.assert_array_equal(backward(loss, tape, leaves=[x])[x], np.full((2, 3), 1 / 6))
+
     def test_sum_gives_ones(self):
         x = Tensor(np.random.default_rng(10).standard_normal((3, 4)), requires_grad=True)
         with Tape() as tape:

@@ -100,11 +100,9 @@ def test_receiver_state_round_trip(tmp_path):
         np.testing.assert_array_equal(clone.named_parameters()[name].data, tensor.data)
 
 
-# Ranks 1-4 only: `Tensor` turns a 0-d array into shape (1,), so `save`
-# cannot write a rank-0 record; `test_loads_rank_zero_record` covers `load`'s.
 PARAMETERS = st.dictionaries(
     st.text(st.characters(codec="utf-8"), max_size=8),
-    st.lists(st.integers(0, 3), min_size=1, max_size=4).flatmap(
+    st.lists(st.integers(0, 3), max_size=4).flatmap(
         lambda shape: hnp.arrays(np.float64, tuple(shape),
                                  elements=st.floats(allow_nan=False, allow_infinity=False))),
     min_size=1, max_size=4)
@@ -113,7 +111,7 @@ PARAMETERS = st.dictionaries(
 @settings(max_examples=60, deadline=None)
 @given(params=PARAMETERS)
 def test_round_trip_property(params):
-    """Any UTF-8 names and ranks 1-4, zero-size dims included, load back
+    """Any UTF-8 names and ranks 0-4, zero-size dims included, load back
     bitwise."""
     tensors = {name: Tensor(value) for name, value in params.items()}
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,18 +1,30 @@
 """CLI: config handling, subcommands, exit codes, output files."""
 
+import contextlib
+import io
+import math
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from axialrx.channel import VELOCITY_TIERS
 from axialrx.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    SCHEMA,
     config_hash,
     link_from_config,
     load_config,
     main,
 )
+from axialrx.layers import VARIANTS
 
 TINY_CONFIG = """
 [link]
@@ -301,6 +313,100 @@ class TestConfigValidation:
         config[section][key] = value
         with pytest.raises(ConfigError, match=key):
             link_from_config(config)
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NAME = st.text("abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=8)
+
+
+def below(x):
+    return st.floats(max_value=x, **FINITE).filter(lambda v: v < x)
+
+
+def above(x):
+    return st.floats(min_value=x, **FINITE).filter(lambda v: v > x)
+
+
+# Values every schema key must reject on the desk preset (snr_db 0..15,
+# velocity 0..50 m/s, delay spread 10..100 ns, 14 OFDM symbols).
+OUT_OF_RANGE = {
+    ("link", "ofdm_symbols"): st.integers(max_value=0),
+    ("link", "subcarriers"): st.integers(max_value=0),
+    ("link", "rx_antennas"): st.integers(max_value=0),
+    ("link", "subcarrier_spacing_hz"): st.floats(max_value=0.0) | NON_FINITE,
+    ("link", "carrier_frequency_hz"): st.floats(max_value=0.0) | NON_FINITE,
+    ("link", "modulation_order"): st.integers().filter(lambda m: m not in (4, 16, 64)),
+    ("link", "code_rate"): st.floats(**FINITE).filter(lambda r: abs(r - 0.5) > 1e-6)
+    | NON_FINITE,
+    ("link", "pilot_symbols"): st.lists(st.integers(-5, 30), max_size=6).filter(
+        lambda p: not (p and p == sorted(set(p)) and 0 <= p[0] and p[-1] < 14)),
+    ("link", "pilot_seed"): st.integers(max_value=-1),
+    ("link", "snr_db_min"): above(15.0) | NON_FINITE,
+    ("link", "snr_db_max"): below(0.0) | NON_FINITE,
+    ("link", "velocity_min_mps"): below(0.0) | above(50.0) | NON_FINITE,
+    ("link", "velocity_max_mps"): below(0.0) | NON_FINITE,
+    ("link", "delay_spread_min_ns"): below(0.0) | above(100.0) | NON_FINITE,
+    ("link", "delay_spread_max_ns"): below(10.0) | NON_FINITE,
+    ("channel", "taps"): st.integers(max_value=0),
+    ("channel", "sinusoids"): st.integers(max_value=0),
+    ("model", "variant"): NAME.filter(lambda v: v not in VARIANTS),
+    ("model", "embedding_dim"): st.integers(max_value=0),
+    ("model", "heads"): st.integers(max_value=0),
+    ("model", "blocks"): st.integers(max_value=-1),
+    ("model", "ffn_hidden"): st.integers(max_value=-1),
+    ("model", "kernel"): st.integers(max_value=0) | st.integers(1, 10**6).map(lambda k: 2 * k),
+    ("model", "resnet_units"): st.integers(max_value=-1),
+    ("model", "resnet_channels"): st.integers(max_value=0),
+    ("model", "init_seed"): st.integers(max_value=-1),
+    ("train", "steps"): st.integers(max_value=-1),
+    ("train", "batch_size"): st.integers(max_value=0),
+    ("train", "learning_rate"): st.floats(max_value=0.0) | NON_FINITE,
+    ("train", "seed"): st.integers(max_value=-1),
+    ("train", "checkpoint_every"): st.integers(max_value=-1),
+    ("eval", "snr_points_db"): st.lists(st.floats(), max_size=4).filter(
+        lambda v: not (v and all(map(math.isfinite, v)))),
+    ("eval", "tiers"): st.lists(NAME, max_size=3).filter(
+        lambda v: not (v and set(v) <= set(VELOCITY_TIERS))),
+    ("eval", "max_blocks"): st.integers(max_value=0),
+    ("eval", "target_errors"): st.integers(max_value=0),
+    ("eval", "seed"): st.integers(max_value=-1),
+}
+BAD_VALUES = st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
+    lambda key: OUT_OF_RANGE[key].map(lambda value: (*key, value)))
+
+
+def ini_text(value) -> str:
+    if isinstance(value, list):
+        return ", ".join(ini_text(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+class TestConfigProperty:
+    """Every schema key rejects an out-of-range value with exit 2 and a
+    message naming its section and key, before any simulator is built."""
+
+    def test_every_schema_key_has_out_of_range_values(self):
+        assert set(OUT_OF_RANGE) == {(section, key) for section, keys in SCHEMA.items()
+                                     for key in keys}
+
+    @settings(max_examples=300, deadline=None)
+    @example(case=("link", "code_rate", math.nan))
+    @given(case=BAD_VALUES)
+    def test_out_of_range_value_exits_2_naming_the_key(self, case):
+        section, key, value = case
+        command = "eval" if section == "eval" else "train"
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+                mock.patch("axialrx.cli._build_simulator", side_effect=AssertionError), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            os.environ.pop("AXRX_SEED", None)
+            path = os.path.join(tmp, "bad.ini")
+            with open(path, "w") as fh:
+                fh.write(f"[{section}]\n{key} = {ini_text(value)}\n")
+            rc = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
+        assert rc == EXIT_CONFIG, err.getvalue()
+        assert f"[{section}]" in err.getvalue() and key in err.getvalue(), err.getvalue()
 
 
 class TestTrainCommand:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axialrx.layers as layers_mod
-from axialrx.autodiff import Tape, Tensor, backward, bmm, mean_all, softmax, sum_all
+from axialrx.autodiff import Tape, Tensor, backward, bmm, mean_all, scale, softmax, sum_all
 from axialrx.cli import load_config, receiver_config_from
 from axialrx.complexity import model_report
 from axialrx.flopcount import FlopCounter
@@ -429,9 +429,10 @@ class TestEndToEndGradients:
 
 
 def attend_unchunked(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
-    """attend with the whole core as one bmm(softmax(bmm(q, k^T), scale=c), v)."""
+    """attend with the whole core as one bmm(softmax(scale(bmm(q, k^T), c)), v)."""
     s, length, d = x.shape
-    h, dh = w.heads, w.head_dim
+    h = w.heads
+    dh = d // h
 
     def split_heads(m):
         proj = x.reshape(s * length, d) @ m.data
@@ -439,7 +440,7 @@ def attend_unchunked(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
 
     q, k, v = split_heads(w.wq), split_heads(w.wk), split_heads(w.wv)
     scores = bmm(Tensor(q), Tensor(k.transpose(0, 2, 1)))
-    mixed = bmm(softmax(scores, axis=-1, scale=1.0 / np.sqrt(dh)), Tensor(v)).data
+    mixed = bmm(softmax(scale(scores, 1.0 / np.sqrt(dh)), axis=-1), Tensor(v)).data
     merged = mixed.reshape(s, h, length, dh).transpose(0, 2, 1, 3).reshape(s * length, d)
     return (merged @ w.wo.data).reshape(s, length, d)
 
