@@ -15,9 +15,7 @@ the innermost one records.
 
 from __future__ import annotations
 
-import itertools
-import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -284,156 +282,6 @@ def softmax(x: Tensor, axis: int) -> Tensor:
         return (gx,)
 
     return _record(out, (x,), grad_fn)
-
-
-def _row_max(p: np.ndarray) -> np.ndarray:
-    """p.max(axis=-1, keepdims=True) of a C-contiguous array.
-
-    Below 32 columns a loop over the columns runs 1.7-4x faster than numpy's
-    reduction over short rows. The maximum is exact either way; only a zero
-    maximum may come out with the other sign, and exp(p - max) cannot tell.
-    """
-    if p.shape[-1] >= 32:
-        return p.max(axis=-1, keepdims=True)
-    m = p[..., :1].copy()
-    for j in range(1, p.shape[-1]):
-        np.maximum(m, p[..., j:j + 1], out=m)
-    return m
-
-
-def multi_head_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
-                         heads: int, chunks: Sequence[tuple], product: Callable) -> Tensor:
-    """Multi-head scaled dot-product attention over S sequences as one node.
-
-    x: (S, L, D); wq, wk, wv, wo: (D, D), head h owning the column block
-    [h*d_h, (h+1)*d_h) of wq, wk and wv. Per head, softmax(Q K^T / sqrt(d_h))
-    V; the heads are concatenated and projected by wo.
-
-    Each chunk is a pair (seq, rows): `seq` a basic-slice key over the
-    leading (S, H) dims of the head arrays and `rows` a slice of query rows.
-    Its queries q[seq][..., rows, :] attend over k[seq] and v[seq] and fill
-    the same rows of out[seq]. The chunks partition the output, and chunks
-    that share a `seq` are adjacent. K^T is one contiguous (S, H, d_h, L)
-    copy of its projection. Q and V are read as strided (S, H, L, d_h) views
-    of their projections, and the core writes straight into an (S, L, H,
-    d_h) array, so the head merge is a reshape. The V of a `seq` split into
-    several row blocks is copied once, because every block re-reads all of
-    it. `product(a, b, out)` computes both products of every chunk and
-    charges their FLOPs. One score buffer, sized for the largest chunk,
-    serves every chunk. The four projections charge 2*S*L*D^2 FLOPs each and
-    every score five, to the open bucket.
-
-    The steps are the IEEE operations of the composition of `matmul`,
-    reshape/transpose head splits, `bmm`, `scale`, `softmax`, `bmm`, the
-    head merge and `matmul` in the same order (the row maximum is exact,
-    however `_row_max` takes it), and a matrix product on a view of another
-    leading dimension gives the bits of the same product on a contiguous
-    copy. So values, gradients and FLOP charges are bitwise those of the
-    composition. Backward runs the composition's gradient
-    expressions on contiguous head-layout copies of Q, V and the upstream
-    gradient. A single chunk keeps its probabilities for backward. Several
-    chunks keep none: backward recomputes each chunk's probabilities (with
-    no FLOP charge), visits the chunks last first, sums the gradients of
-    chunks that share a `seq`, and adds every chunk's gradient into zeros,
-    which repeats the composition's additions, signed zeros included.
-    """
-    if x.ndim != 3 or any(w.shape != (x.shape[2],) * 2 for w in (wq, wk, wv, wo)):
-        raise DimensionError(f"attention needs (S, L, D) input and (D, D) projections: "
-                             f"{x.shape}, {[w.shape for w in (wq, wk, wv, wo)]}")
-    s, length, d = x.shape
-    if heads < 1 or d % heads != 0:
-        raise DimensionError(f"embedding dim {d} not divisible by {heads} heads")
-    dh = d // heads
-    c = 1.0 / math.sqrt(dh)
-
-    def head_view(m):  # (S*L, D) -> (S, H, L, d_h) without a copy
-        return m.reshape(s, length, heads, dh).transpose(0, 2, 1, 3)
-
-    def flat(m):  # (S, L, H, d_h) view -> contiguous (S*L, D)
-        return np.ascontiguousarray(m).reshape(s * length, d)
-
-    x2 = x.data.reshape(s * length, d)
-    flopcount.add(3 * 2 * s * length * d * d)
-    qp, kp, vp = x2 @ wq.data, x2 @ wk.data, x2 @ wv.data
-    qd, vd = head_view(qp), head_view(vp)
-    ktd = np.ascontiguousarray(kp.reshape(s, length, heads, dh).transpose(0, 2, 3, 1))
-    del kp
-    merged = np.empty((s, length, heads, dh))
-    out_heads = merged.transpose(0, 2, 1, 3)
-    groups = [(seq, [rows for _, rows in group])
-              for seq, group in itertools.groupby(chunks, key=lambda chunk: chunk[0])]
-    size = max(math.prod(qd[seq][..., rows, :].shape[:-1]) * length for seq, blocks in groups
-               for rows in blocks)
-
-    def probabilities(q, kt, buf, mul):
-        shape = q.shape[:-1] + (length,)
-        p = buf[:math.prod(shape)].reshape(shape)
-        mul(q, kt, p)
-        p *= c
-        p -= _row_max(p)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        return p
-
-    buf = np.empty(size)
-    for seq, blocks in groups:
-        q, v, mixed = qd[seq], vd[seq], out_heads[seq]
-        if len(blocks) > 1:
-            v = np.ascontiguousarray(v)
-        for rows in blocks:
-            p = probabilities(q[..., rows, :], ktd[seq], buf, product)
-            flopcount.add(5 * p.size)
-            product(p, v, mixed[..., rows, :])
-    kept = p if len(chunks) == 1 else None
-    merged = merged.reshape(s * length, d)
-    flopcount.add(2 * s * length * d * d)
-    out = Tensor((merged @ wo.data).reshape(s, length, d))
-    wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
-
-    def chunk_grads(p, g, qc, ktc, vc, gs, gx):
-        gv = np.swapaxes(p, -1, -2) @ g
-        np.matmul(g, np.swapaxes(vc, -1, -2), out=gs)
-        np.multiply(gs, p, out=gx)
-        np.subtract(gs, gx.sum(axis=-1, keepdims=True), out=gx)
-        gx *= p
-        gx *= c
-        return gx @ np.swapaxes(ktc, -1, -2), np.swapaxes(qc, -1, -2) @ gx, gv
-
-    def core_grads(g, qh, vh):
-        if kept is not None:
-            return chunk_grads(kept, g, qh, ktd, vh, np.empty_like(kept), np.empty_like(kept))
-        gq, gkt, gv = np.zeros(qh.shape), np.zeros(ktd.shape), np.zeros(vh.shape)
-        p_buf, gs_buf, gx_buf = np.empty(size), np.empty(size), np.empty(size)
-        for seq, blocks in reversed(groups):
-            gkt_sum = gv_sum = None
-            for rows in reversed(blocks):
-                qc = qh[seq][..., rows, :]
-                p = probabilities(qc, ktd[seq], p_buf, np.matmul)
-                gs, gx = (b[:p.size].reshape(p.shape) for b in (gs_buf, gx_buf))
-                gq_c, gkt_c, gv_c = chunk_grads(p, g[seq][..., rows, :], qc, ktd[seq], vh[seq],
-                                                gs, gx)
-                gq[seq][..., rows, :] += gq_c
-                if gkt_sum is None:
-                    gkt_sum, gv_sum = gkt_c, gv_c
-                else:
-                    gkt_sum += gkt_c
-                    gv_sum += gv_c
-            gkt[seq] += gkt_sum
-            gv[seq] += gv_sum
-        return gq, gkt, gv
-
-    def grad_fn(g):
-        g2 = g.reshape(s * length, d)
-        gm = g2 @ wod.T
-        gq, gkt, gv = core_grads(*(np.ascontiguousarray(head_view(m)) for m in (gm, qp, vp)))
-        gq2 = flat(gq.transpose(0, 2, 1, 3))
-        gk2 = flat(gkt.transpose(0, 3, 1, 2))
-        gv2 = flat(gv.transpose(0, 2, 1, 3))
-        gx = (gv2 @ wvd.T + gk2 @ wkd.T) + gq2 @ wqd.T
-        return (gx.reshape(s, length, d), x2.T @ gq2, x2.T @ gk2, x2.T @ gv2,
-                merged.T @ g2)
-
-    return _record(out, (x, wq, wk, wv, wo), grad_fn)
 
 
 def bce_with_logits(x: Tensor, bits: np.ndarray, mask: np.ndarray) -> Tensor:

@@ -60,7 +60,10 @@ def load(path: str) -> dict[str, np.ndarray]:
 
     while pos < len(blob):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{path}: parameter name is not UTF-8 ({err})") from err
         (rank,) = struct.unpack("<I", take(4))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         count = math.prod(dims)

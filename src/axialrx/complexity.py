@@ -9,9 +9,9 @@ Data movement (reshape, transpose, chunk views) is free.
 
 The "attention core" is only the two products Q K^T and A V; the 1/sqrt(d_h)
 scaling, softmax, and projections are accounted separately. The scaling
-runs inside the fused operator (`autodiff.multi_head_attention`), which
-still charges it one FLOP per score, so the softmax stage costs five FLOPs
-per score (the 5*H*L*L terms below). Under that convention the core cost is
+runs inside the fused operator (`layers.attend`), which still charges it
+one FLOP per score, so the softmax stage costs five FLOPs per score (the
+5*H*L*L terms below). Under that convention the core cost is
 exactly 4*(TF)^2*D for global attention and 4*T*F*D*(T+F) for one axial
 block, so their ratio is exactly TF/(T+F).
 

@@ -23,12 +23,13 @@ import numpy as np
 
 from . import flopcount
 from .autodiff import (
+    DimensionError,
     Tensor,
+    _record,
     bias_add,
     conv2d,
     layer_norm,
     matmul,
-    multi_head_attention,
     relu,
     reshape,
     transpose,
@@ -126,46 +127,167 @@ def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
-def core_chunks(s: int, length: int, heads: int) -> list[tuple]:
-    """Chunks (seq, rows) that cut the S*H (L, L) score matrices, one per
-    sequence and head, into pieces of at most CORE_CHUNK_SCORES scores:
-    `seq` is a basic-slice key over the (S, H) leading dims of the head
-    arrays and `rows` a slice of query rows.
+def _row_max(p: np.ndarray) -> np.ndarray:
+    """p.max(axis=-1, keepdims=True) of a C-contiguous array.
 
-    While a sequence's H matrices fit under the cap, a chunk takes whole
-    sequences with all their heads, so one chunk covers a call whose S*H
-    matrices all fit. Otherwise each matrix's query rows are split into
-    blocks; where a whole matrix fits, its one block spans every row.
+    Below 32 columns a loop over the columns runs 1.7-4x faster than numpy's
+    reduction over short rows. The maximum is exact either way; only a zero
+    maximum may come out with the other sign, and exp(p - max) cannot tell.
     """
-    group = CORE_CHUNK_SCORES // (length * length)
-    if group >= heads:
-        seqs = group // heads
-        return [(np.s_[i:i + seqs], np.s_[:]) for i in range(0, s, seqs)]
-    rows = max(1, CORE_CHUNK_SCORES // length)
-    return [(np.s_[i:i + 1, h:h + 1], np.s_[r:r + rows])
-            for i in range(s) for h in range(heads) for r in range(0, length, rows)]
+    if p.shape[-1] >= 32:
+        return p.max(axis=-1, keepdims=True)
+    m = p[..., :1].copy()
+    for j in range(1, p.shape[-1]):
+        np.maximum(m, p[..., j:j + 1], out=m)
+    return m
 
 
 def attend(x: Tensor, w: AttentionWeights) -> Tensor:
-    """Multi-head scaled dot-product attention over independent sequences.
+    """Multi-head scaled dot-product attention over S sequences as one node.
 
-    x: (S, L, D) of S sequences. Scores Q K^T / sqrt(d_h) are softmaxed per
-    row and applied to V per head; heads are concatenated and projected by
-    wo. The op scales the scores by 1/sqrt(d_h) in place, charging one FLOP
-    per score.
+    x: (S, L, D) of S sequences. Per head, softmax(Q K^T / sqrt(d_h)) V; the
+    heads are concatenated and projected by wo. The op scales the scores by
+    1/sqrt(d_h) in place, charging one FLOP per score.
 
-    The whole operator is one `multi_head_attention` tape node. Its core
-    runs in the chunks of `core_chunks`, which share one score buffer. Both
-    products of every chunk go through `bmm`, which charges them to
-    `<block>#core`, a `#core` bucket nested in the open one; the
-    projections and the softmax (five FLOPs per score) are charged to the
-    open bucket itself, so the per-chunk counts sum to those of one
-    unchunked core. A single chunk (every desk-dims axial call) keeps its
-    probabilities for backward; several chunks recompute theirs there.
+    The core runs in chunks of at most CORE_CHUNK_SCORES scores of the S*H
+    (L, L) score matrices, one per sequence and head. While a sequence's H
+    matrices fit under the cap, a chunk takes whole sequences with all
+    their heads, so one chunk covers a call whose S*H matrices all fit
+    (every desk-dims axial call). Otherwise each matrix's query rows are
+    split into blocks; where a whole matrix fits, its one block spans
+    every row. A group is a basic-slice key `seq` over the leading (S, H)
+    dims of the head arrays with its row blocks: its queries attend over
+    k[seq] and v[seq] and fill the same rows of the output.
+
+    K^T is one contiguous (S, H, d_h, L) copy of its projection. Q and V are
+    read as strided (S, H, L, d_h) views of their projections, and the core
+    writes straight into an (S, L, H, d_h) array, so the head merge is a
+    reshape. The V of a `seq` split into several row blocks is copied once,
+    because every block re-reads all of it. One score buffer, sized for the
+    largest chunk, serves every chunk. Both products of every chunk go
+    through `bmm`, which charges them to `<block>#core`, a `#core` bucket
+    nested in the open one; the four projections charge 2*S*L*D^2 FLOPs
+    each and every score five (scale and softmax) to the open bucket
+    itself, so the per-chunk counts sum to those of one unchunked core.
+
+    The steps are the IEEE operations of the composition of `matmul`,
+    reshape/transpose head splits, `bmm`, `scale`, `softmax`, `bmm`, the
+    head merge and `matmul` in the same order (the row maximum is exact,
+    however `_row_max` takes it), and a matrix product on a view of another
+    leading dimension gives the bits of the same product on a contiguous
+    copy. So values, gradients and FLOP charges are bitwise those of the
+    composition. Backward runs the composition's gradient
+    expressions on contiguous head-layout copies of Q, V and the upstream
+    gradient. A single chunk keeps its probabilities for backward. Several
+    chunks keep none: backward recomputes each chunk's probabilities (with
+    no FLOP charge), visits the chunks last first, sums the gradients of
+    chunks that share a `seq`, and adds every chunk's gradient into zeros,
+    which repeats the composition's additions, signed zeros included.
     """
-    s, length, _ = x.shape
-    return multi_head_attention(x, w.wq, w.wk, w.wv, w.wo, w.heads,
-                                core_chunks(s, length, w.heads), bmm)
+    wq, wk, wv, wo, heads = w.wq, w.wk, w.wv, w.wo, w.heads
+    if x.ndim != 3 or any(m.shape != (x.shape[2],) * 2 for m in (wq, wk, wv, wo)):
+        raise DimensionError(f"attention needs (S, L, D) input and (D, D) projections: "
+                             f"{x.shape}, {[m.shape for m in (wq, wk, wv, wo)]}")
+    s, length, d = x.shape
+    if heads < 1 or d % heads != 0:
+        raise DimensionError(f"embedding dim {d} not divisible by {heads} heads")
+    dh = d // heads
+    c = 1.0 / math.sqrt(dh)
+
+    def head_view(m):  # (S*L, D) -> (S, H, L, d_h) without a copy
+        return m.reshape(s, length, heads, dh).transpose(0, 2, 1, 3)
+
+    def flat(m):  # (S, L, H, d_h) view -> contiguous (S*L, D)
+        return np.ascontiguousarray(m).reshape(s * length, d)
+
+    x2 = x.data.reshape(s * length, d)
+    flopcount.add(3 * 2 * s * length * d * d)
+    qp, kp, vp = x2 @ wq.data, x2 @ wk.data, x2 @ wv.data
+    qd, vd = head_view(qp), head_view(vp)
+    ktd = np.ascontiguousarray(kp.reshape(s, length, heads, dh).transpose(0, 2, 3, 1))
+    del kp
+    merged = np.empty((s, length, heads, dh))
+    out_heads = merged.transpose(0, 2, 1, 3)
+    group = CORE_CHUNK_SCORES // (length * length)
+    if group >= heads:
+        seqs = group // heads
+        groups = [(np.s_[i:i + seqs], [np.s_[:]]) for i in range(0, s, seqs)]
+        size = min(seqs, s) * heads * length * length
+    else:
+        n_rows = max(1, CORE_CHUNK_SCORES // length)
+        blocks = [np.s_[r:r + n_rows] for r in range(0, length, n_rows)]
+        groups = [(np.s_[i:i + 1, h:h + 1], blocks) for i in range(s) for h in range(heads)]
+        size = min(n_rows, length) * length
+
+    def probabilities(q, kt, buf, mul):
+        shape = q.shape[:-1] + (length,)
+        p = buf[:math.prod(shape)].reshape(shape)
+        mul(q, kt, p)
+        p *= c
+        p -= _row_max(p)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        return p
+
+    buf = np.empty(size)
+    for seq, blocks in groups:
+        q, v, mixed = qd[seq], vd[seq], out_heads[seq]
+        if len(blocks) > 1:
+            v = np.ascontiguousarray(v)
+        for rows in blocks:
+            p = probabilities(q[..., rows, :], ktd[seq], buf, bmm)
+            flopcount.add(5 * p.size)
+            bmm(p, v, mixed[..., rows, :])
+    kept = p if len(groups) == 1 and len(blocks) == 1 else None
+    merged = merged.reshape(s * length, d)
+    flopcount.add(2 * s * length * d * d)
+    out = Tensor((merged @ wo.data).reshape(s, length, d))
+    wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
+
+    def chunk_grads(p, g, qc, ktc, vc, gs, gx):
+        gv = np.swapaxes(p, -1, -2) @ g
+        np.matmul(g, np.swapaxes(vc, -1, -2), out=gs)
+        np.multiply(gs, p, out=gx)
+        np.subtract(gs, gx.sum(axis=-1, keepdims=True), out=gx)
+        gx *= p
+        gx *= c
+        return gx @ np.swapaxes(ktc, -1, -2), np.swapaxes(qc, -1, -2) @ gx, gv
+
+    def core_grads(g, qh, vh):
+        if kept is not None:
+            return chunk_grads(kept, g, qh, ktd, vh, np.empty_like(kept), np.empty_like(kept))
+        gq, gkt, gv = np.zeros(qh.shape), np.zeros(ktd.shape), np.zeros(vh.shape)
+        p_buf, gs_buf, gx_buf = np.empty(size), np.empty(size), np.empty(size)
+        for seq, blocks in reversed(groups):
+            gkt_sum = gv_sum = None
+            for rows in reversed(blocks):
+                qc = qh[seq][..., rows, :]
+                p = probabilities(qc, ktd[seq], p_buf, np.matmul)
+                gs, gx = (b[:p.size].reshape(p.shape) for b in (gs_buf, gx_buf))
+                gq_c, gkt_c, gv_c = chunk_grads(p, g[seq][..., rows, :], qc, ktd[seq], vh[seq],
+                                                gs, gx)
+                gq[seq][..., rows, :] += gq_c
+                if gkt_sum is None:
+                    gkt_sum, gv_sum = gkt_c, gv_c
+                else:
+                    gkt_sum += gkt_c
+                    gv_sum += gv_c
+            gkt[seq] += gkt_sum
+            gv[seq] += gv_sum
+        return gq, gkt, gv
+
+    def grad_fn(g):
+        g2 = g.reshape(s * length, d)
+        gm = g2 @ wod.T
+        gq, gkt, gv = core_grads(*(np.ascontiguousarray(head_view(m)) for m in (gm, qp, vp)))
+        gq2 = flat(gq.transpose(0, 2, 1, 3))
+        gk2 = flat(gkt.transpose(0, 3, 1, 2))
+        gv2 = flat(gv.transpose(0, 2, 1, 3))
+        gx = (gv2 @ wvd.T + gk2 @ wkd.T) + gq2 @ wqd.T
+        return (gx.reshape(s, length, d), x2.T @ gq2, x2.T @ gk2, x2.T @ gv2,
+                merged.T @ g2)
+
+    return _record(out, (x, wq, wk, wv, wo), grad_fn)
 
 
 def axial_time_attention(x: Tensor, w: AttentionWeights) -> Tensor:

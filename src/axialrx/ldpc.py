@@ -85,8 +85,7 @@ def _sample_regular_h(n: int, m: int, col_weight: int, row_weight: int,
     when the swap budget runs out.
 
     Check r owns stubs r*row_weight.., so sorting the edges by (check,
-    column) only sorts within checks: an odd-even transposition sort over
-    the (row_weight, m) slot-major copy sorts every check at once. The
+    column) only sorts within checks, which one row-wise sort does. The
     repeated columns of the few checks that have one are then found by a
     stable sort of those checks alone, and swapped in (check, column,
     stub) order.
@@ -95,15 +94,10 @@ def _sample_regular_h(n: int, m: int, col_weight: int, row_weight: int,
     rng.shuffle(cols)
     checks = cols.reshape(m, row_weight)
     for _ in range(500):
-        slots = checks.T.copy()
-        for p in range(row_weight):
-            lo, hi = slots[p % 2:row_weight - 1:2], slots[p % 2 + 1::2]
-            low = np.minimum(lo, hi)
-            np.maximum(lo, hi, out=hi)
-            lo[...] = low
-        bad = np.flatnonzero((slots[1:] == slots[:-1]).any(axis=0))
+        sorted_checks = np.sort(checks, axis=1)
+        bad = np.flatnonzero((sorted_checks[:, 1:] == sorted_checks[:, :-1]).any(axis=1))
         if bad.size == 0:
-            return np.ascontiguousarray(slots.T)
+            return sorted_checks
         bad_checks = checks[bad]
         order = np.argsort(bad_checks, axis=1, kind="stable")
         ranked = np.take_along_axis(bad_checks, order, axis=1)

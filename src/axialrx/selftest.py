@@ -79,19 +79,26 @@ def check_gradients() -> tuple[str, bool, str]:
 
 def check_attention_gradients() -> tuple[str, bool, str]:
     """Finite differences of the attention op receivers run, products through
-    `layers.bmm`: one chunk, then each (sequence, head) in query rows 0:2, 2:3."""
+    `layers.bmm`: one chunk, then, at a cap of 6 scores, each (sequence, head)
+    in query rows 0:2, 2:3."""
     rng = np.random.default_rng(5)
     x = ad.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-    ws = [ad.Tensor(rng.standard_normal((4, 4)) * 0.5, requires_grad=True) for _ in range(4)]
+    w = AttentionWeights(4, 2, rng)
     r = ad.Tensor(rng.standard_normal((2, 3, 4)))
-    row_split = [(np.s_[i:i + 1, h:h + 1], np.s_[j:j + 2])
-                 for i in (0, 1) for h in (0, 1) for j in (0, 2)]
+    leaves = [x, w.wq, w.wk, w.wv, w.wo]
+
+    def loss():
+        return ad.sum_all(layers.attend(x, w) * r)
+
+    cap = layers.CORE_CHUNK_SCORES
     try:
-        for chunks in ([(np.s_[:], np.s_[:])], row_split):
-            gradcheck(lambda: ad.sum_all(ad.multi_head_attention(x, *ws, 2, chunks, layers.bmm)
-                                         * r), [x, *ws])
+        gradcheck(loss, leaves)
+        layers.CORE_CHUNK_SCORES = 6
+        gradcheck(loss, leaves)
     except AssertionError as err:
         return ("attention gradient finite-difference", False, str(err))
+    finally:
+        layers.CORE_CHUNK_SCORES = cap
     return ("attention gradient finite-difference", True, "one chunk and row-split chunks")
 
 

@@ -1,5 +1,5 @@
 """Shared test utilities: finite-difference gradient checking, dense LDPC H,
-the composed attention that `autodiff.multi_head_attention` must reproduce."""
+the composed attention that `layers.attend` must reproduce."""
 
 from __future__ import annotations
 
@@ -94,10 +94,10 @@ def flat_core_chunks(n: int, length: int, cap: int) -> list[tuple]:
 
 def composed_attend(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, heads: int,
                     cap: int) -> Tensor:
-    """`autodiff.multi_head_attention` as the tape ops it replaced: taped
-    projections, reshape/transpose/reshape head splits, a transposed copy of
-    K, `composed_attention_core` over chunks of at most `cap` scores, the
-    head merge and the output projection."""
+    """`layers.attend` as the tape ops it replaced: taped projections,
+    reshape/transpose/reshape head splits, a transposed copy of K,
+    `composed_attention_core` over chunks of at most `cap` scores, the head
+    merge and the output projection."""
     s, length, d = x.shape
     dh = d // heads
     n = s * heads

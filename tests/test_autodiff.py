@@ -3,6 +3,7 @@
 import gc
 import tracemalloc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from axialrx.autodiff import (
     DimensionError,
     Tape,
     Tensor,
-    _row_max,
     backward,
     bce_with_logits,
     bias_add,
@@ -20,7 +20,6 @@ from axialrx.autodiff import (
     layer_norm,
     matmul,
     mean_all,
-    multi_head_attention,
     relu,
     reshape,
     scale,
@@ -30,15 +29,16 @@ from axialrx.autodiff import (
 )
 from axialrx.flopcount import FlopCounter
 import axialrx.layers as layers_mod
-from axialrx.layers import bmm as core_product
+from axialrx.layers import _row_max
 from helpers import composed_attend, gradcheck, rand_tensor
 
 
-def core_chunks_at(cap, s, length, heads):
-    """`layers.core_chunks` with CORE_CHUNK_SCORES set to `cap`."""
+def attend_at(cap, x, wq, wk, wv, wo, heads):
+    """`layers.attend` with CORE_CHUNK_SCORES set to `cap`."""
+    w = SimpleNamespace(wq=wq, wk=wk, wv=wv, wo=wo, heads=heads)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
-        return layers_mod.core_chunks(s, length, heads)
+        return layers_mod.attend(x, w)
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -415,7 +415,7 @@ def _bits(a: np.ndarray) -> tuple:
     return a.shape, a.tobytes()
 
 
-# (x shape (S, L, D), heads, score cap) for each path of `layers.core_chunks`.
+# (x shape (S, L, D), heads, score cap) for each chunk path of `layers.attend`.
 CORE_PATHS = {
     "single": ((2, 5, 6), 2, 100),  # 4 sequences of 25 scores in one chunk
     "grouped": ((5, 4, 6), 3, 96),  # 2, 2, 1 sequences with their 3 heads per chunk
@@ -439,8 +439,7 @@ class TestAttentionCore:
         with FlopCounter() as counter, counter.bucket("block00"):
             with Tape() as tape:
                 if fused:
-                    chunks = core_chunks_at(cap, shape[0], shape[1], heads)
-                    out = multi_head_attention(*leaves, heads, chunks, core_product)
+                    out = attend_at(cap, *leaves, heads)
                 else:
                     out = composed_attend(*leaves, heads, cap)
                 loss = sum_all(out * w)
@@ -456,7 +455,7 @@ class TestAttentionCore:
         for g, ref in zip(grads, ref_grads):
             assert _bits(g) == _bits(ref)
         assert buckets == ref_buckets
-        assert nodes == 3  # multi_head_attention, mul, sum_all
+        assert nodes == 3  # attend, mul, sum_all
 
     @pytest.mark.parametrize("path", sorted(CORE_PATHS))
     def test_gradient(self, path):
@@ -464,16 +463,14 @@ class TestAttentionCore:
         rng = np.random.default_rng(32)
         leaves = [rand_tensor(rng, shape)] + [rand_tensor(rng, shape[2:] * 2) for _ in range(4)]
         w = Tensor(rng.standard_normal(shape))
-        chunks = core_chunks_at(cap, shape[0], shape[1], heads)
-        gradcheck(lambda: sum_all(multi_head_attention(*leaves, heads, chunks, core_product) * w),
-                  leaves)
+        gradcheck(lambda: sum_all(attend_at(cap, *leaves, heads) * w), leaves)
 
     def test_rejects_mismatched_shapes(self):
         x, w = Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 4)))
         with pytest.raises(DimensionError, match="not divisible"):
-            multi_head_attention(x, w, w, w, w, 3, [(np.s_[:], np.s_[:])], core_product)
+            attend_at(layers_mod.CORE_CHUNK_SCORES, x, w, w, w, w, 3)
         with pytest.raises(DimensionError, match=r"\(D, D\)"):
-            multi_head_attention(x, w, w, Tensor(np.ones((4, 3))), w, 2, [], core_product)
+            attend_at(layers_mod.CORE_CHUNK_SCORES, x, w, w, Tensor(np.ones((4, 3))), w, 2)
 
 
 @pytest.mark.parametrize("columns", [1, 2, 14, 31, 32, 40])

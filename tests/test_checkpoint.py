@@ -83,6 +83,15 @@ def test_repeated_name_rejected(tmp_path):
         load(str(doubled))
 
 
+def test_non_utf8_name_rejected(tmp_path):
+    path = tmp_path / "latin1.axrx"
+    name = "\u00e9".encode("latin-1")
+    # one rank-0 record: name length, name, rank 0, one float64
+    path.write_bytes(MAGIC + struct.pack("<I", len(name)) + name + struct.pack("<Id", 0, 1.0))
+    with pytest.raises(CheckpointError, match=r"latin1\.axrx.*UTF-8"):
+        load(str(path))
+
+
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load(str(tmp_path / "absent.axrx"))

@@ -19,6 +19,7 @@ from axialrx.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     SCHEMA,
+    _write_config_snapshot,
     config_hash,
     link_from_config,
     load_config,
@@ -112,6 +113,21 @@ class TestConfig:
         assert a == b
         assert a != c
         assert len(a) == 12
+
+    @pytest.mark.parametrize("preset, text", [("desk", None), ("paper", None),
+                                              ("desk", TINY_CONFIG)], ids=["desk", "paper", "tiny"])
+    def test_snapshot_reads_back_to_the_same_hash(self, preset, text, tmp_path):
+        """`config_snapshot.ini` alone rebuilds the configuration: read back
+        over the other preset, it gives the same config_hash."""
+        source = tmp_path / "source.ini"
+        if text is not None:
+            source.write_text(text)
+        config = load_config(str(source) if text is not None else None, preset)
+        snapshot = tmp_path / "config_snapshot.ini"
+        _write_config_snapshot(snapshot, config, seed=config["train"]["seed"])
+        reloaded = load_config(str(snapshot), "paper" if preset == "desk" else "desk")
+        assert config_hash(reloaded) == config_hash(config)
+        assert reloaded == config
 
     def test_link_construction(self, tiny_config):
         link = link_from_config(load_config(tiny_config, "desk"))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axialrx.layers as layers_mod
+from axialrx import selftest
 from axialrx.autodiff import Tape, Tensor, backward, bmm, mean_all, scale, softmax, sum_all
 from axialrx.cli import load_config, receiver_config_from
 from axialrx.complexity import model_report
@@ -564,7 +565,7 @@ class TestChunkedCore:
         with Tape() as tape:
             axial_freq_attention(x, w)
         ops = [node.grad_fn.__qualname__.split(".")[0] for node in tape.nodes]
-        assert ops == ["multi_head_attention"]
+        assert ops == ["attend"]
 
     def test_taped_desk_axial_grid_records_at_most_40_nodes(self):
         """Forward and BCE loss of one desk axial grid: 115 nodes when each
@@ -637,3 +638,35 @@ class TestChunkedCore:
         report = model_report(cfg, seed=0, instrumented=True)
         assert report.counted_layers == report.analytic_layers
         assert report.attention_counted == report.attention_analytic
+
+
+class TestSelftestAttentionCheck:
+    """`selftest.check_attention_gradients` runs the op at the default cap,
+    then row-split at a cap of 6 scores, and restores the cap."""
+
+    def test_runs_one_chunk_then_row_blocks(self, monkeypatch):
+        cap = layers_mod.CORE_CHUNK_SCORES
+        calls = spy_products(monkeypatch)
+        assert selftest.check_attention_gradients()[1]
+        queries = [q.shape for q, _, _ in calls[0::2]]
+        single = queries.count((2, 2, 3, 2))  # x (2, 3, 4), 2 heads: one chunk
+        assert single > 0 and queries[:single] == [(2, 2, 3, 2)] * single
+        # 2 sequences x 2 heads, each in query rows 0:2 and 2:3
+        assert queries[single:] == [(1, 1, 2, 2), (1, 1, 1, 2)] * 4 * single
+        assert layers_mod.CORE_CHUNK_SCORES == cap
+
+    def test_restores_the_cap_when_gradcheck_fails(self, monkeypatch):
+        cap = layers_mod.CORE_CHUNK_SCORES
+        monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)  # undone even if not restored
+        seen = []
+
+        def failing_gradcheck(build_loss, leaves):
+            seen.append(layers_mod.CORE_CHUNK_SCORES)
+            if layers_mod.CORE_CHUNK_SCORES == 6:
+                raise AssertionError("injected mismatch")
+
+        monkeypatch.setattr(selftest, "gradcheck", failing_gradcheck)
+        _, ok, detail = selftest.check_attention_gradients()
+        assert (ok, detail) == (False, "injected mismatch")
+        assert seen == [cap, 6]
+        assert layers_mod.CORE_CHUNK_SCORES == cap
