@@ -8,9 +8,9 @@ same functions run as plain forward numerics, which is how inference and
 data generation execute.
 
 Deliberate restrictions keep the gradient rules small and auditable:
-float64 only, no broadcasting except `bias_add` and scalar ops, and a
-fresh tape per forward pass. One process has one stack of active tapes;
-the innermost one records.
+float64 only, no broadcasting except scalar ops and per-feature parameter
+vectors, and a fresh tape per forward pass. One process has one stack of
+active tapes; the innermost one records.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def backward(loss: Tensor, tape: Tape, leaves: Iterable[Tensor]) -> dict:
             if inp.requires_grad or inp._src_tape is tape.token:
                 held = grads.get(inp)
                 grads[inp] = gin if held is None else held + gin
-    return {t: grads.get(t, np.zeros_like(t.data)) for t in leaves}
+    return {t: grads[t] if t in grads else np.zeros_like(t.data) for t in leaves}
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +201,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     flopcount.add(x.size)
     out = Tensor(x.data * c)
     return _record(out, (x,), lambda g: (g * c,))
-
-
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a 1-D bias along the last axis (the one permitted broadcast)."""
-    if b.ndim != 1 or x.shape[-1] != b.shape[0]:
-        raise DimensionError(f"bias_add needs 1-D bias matching last dim: {x.shape} + {b.shape}")
-    flopcount.add(x.size)
-    out = Tensor(x.data + b.data)
-    lead = tuple(range(x.ndim - 1))
-
-    def grad_fn(g):
-        return g, g.sum(axis=lead)
-
-    return _record(out, (x, b), grad_fn)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -311,28 +297,47 @@ def bce_with_logits(x: Tensor, bits: np.ndarray, mask: np.ndarray) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance, then affine."""
+    """Normalize over the last axis to zero mean / unit variance, then affine.
+
+    Means over the last axis are `np.add.reduce(..., keepdims=True) / d`,
+    which is what `np.mean` computes for float64. Every other step runs in
+    place on the op's own temporaries: forward makes two x-sized arrays
+    (xhat, which backward keeps, and the output) and backward two, where the
+    written-out expressions made about six each. The steps are the same IEEE
+    operations in the same order, so values and gradients are bitwise those
+    of the written-out expressions.
+    """
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
         raise DimensionError("layer_norm over an empty last axis")
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} != ({d},)")
     flopcount.add(8 * x.size)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv_std
-    out = Tensor(xhat * gamma.data + beta.data)
-    gd = gamma.data
+    xd, gd = x.data, gamma.data
+    xhat = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
+    y = np.multiply(xhat, xhat)
+    inv_std = np.add.reduce(y, axis=-1, keepdims=True)
+    inv_std /= d
+    inv_std += LAYER_NORM_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gd, out=y)
+    y += beta.data
+    out = Tensor(y)
     lead = tuple(range(x.ndim - 1))
 
     def grad_fn(g):
-        gh = g * gd
-        gx = inv_std * (
-            gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-        )
-        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        gx = g * gd
+        t = gx * xhat
+        gh_mean = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        t_mean = np.add.reduce(t, axis=-1, keepdims=True) / d
+        gx -= gh_mean
+        np.multiply(xhat, t_mean, out=t)
+        gx -= t
+        gx *= inv_std
+        np.multiply(g, xhat, out=t)
+        return gx, t.sum(axis=lead), g.sum(axis=lead)
 
     return _record(out, (x, gamma, beta), grad_fn)
 

@@ -333,22 +333,32 @@ def cmd_eval(args, config: dict[str, dict]) -> int:
     except ValueError as err:
         raise ConfigError(f"[eval] {err}")
     receiver_cfg = receiver_config_from(config)  # reject an invalid [model] before any work
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     link = link_from_config(config)
-    sim = _build_simulator(config)
     receivers = {
         "ls-lmmse": lmmse_receiver(link),
         "perfect-csi": perfect_csi_receiver(link),
     }
+    paths: dict[str, str] = {}  # receiver name (the checkpoint's file stem) -> checkpoint
     for path in args.checkpoints:
+        name = Path(path).stem
+        if name in receivers:
+            raise UsageError(f"checkpoint {path} would be named {name!r}, the name of the "
+                             f"{name} baseline; rename the file")
+        if name in paths:
+            raise UsageError(f"checkpoints {paths[name]} and {path} would both be named "
+                             f"{name!r}; rename one of them")
+        paths[name] = path
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    sim = _build_simulator(config)
+    for name, path in paths.items():
         state = load(path)  # CheckpointError names the file
         model = Receiver(receiver_cfg, seed=config["model"]["init_seed"])
         try:
             model.load_state(state)
         except ValueError as err:
             raise ConfigError(f"checkpoint {path} does not match the configured model: {err}")
-        receivers[Path(path).stem] = neural_receiver(model)
+        receivers[name] = neural_receiver(model)
     points = evaluate(receivers, sim, eval_cfg)
     _write_csv(out / "eval_results.csv", config, seed,
                ["receiver", "snr_db", "velocity_tier", "blocks", "errors", "bler", "halfwidth"],

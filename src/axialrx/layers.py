@@ -26,10 +26,8 @@ from .autodiff import (
     DimensionError,
     Tensor,
     _record,
-    bias_add,
     conv2d,
     layer_norm,
-    matmul,
     relu,
     reshape,
     transpose,
@@ -328,10 +326,50 @@ class FeedForward:
         self.b2 = Tensor(np.zeros(d), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        t, f, d = x.shape
-        flat = reshape(x, (t * f, d))
-        inner = relu(bias_add(matmul(flat, self.w1), self.b1))
-        return reshape(bias_add(matmul(inner, self.w2), self.b2), (t, f, d))
+        return feed_forward(x, self)
+
+
+def feed_forward(x: Tensor, w: FeedForward) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 at every position of x (..., D), as one node.
+
+    The op charges 4*n*D*hidden + 2*n*hidden + n*D FLOPs over its n
+    positions to the open bucket. Forward adds b1 and applies the ReLU in
+    place on its own hidden buffer, then adds b2 in place on its output, so
+    it holds one hidden-sized buffer where the composition held three. The
+    steps are the IEEE operations of the composition of reshape, `matmul`,
+    `bias_add`, `relu`, `matmul`, `bias_add` and reshape in the same order,
+    and backward repeats that composition's gradient expressions, taking
+    the ReLU mask as h > 0 of the kept activations h (an activation is
+    positive exactly where its pre-activation is). So values, gradients
+    and FLOP charges are bitwise those of the composition.
+    """
+    w1, b1, w2, b2 = w.w1.data, w.b1.data, w.w2.data, w.b2.data
+    d, hidden = w1.shape
+    if x.shape[-1:] != (d,) or b1.shape != (hidden,) or w2.shape != (hidden, d) \
+            or b2.shape != (d,):
+        raise DimensionError(f"feed-forward needs (..., {d}) input, (D, hidden) w1 and "
+                             f"(hidden, D) w2 with matching biases: {x.shape}, {w1.shape}, "
+                             f"{b1.shape}, {w2.shape}, {b2.shape}")
+    flat = x.data.reshape(-1, d)
+    n = flat.shape[0]
+    flopcount.add(4 * n * d * hidden + 2 * n * hidden + n * d)
+    h = flat @ w1
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    y = h @ w2
+    y += b2
+    out = Tensor(y.reshape(x.shape))
+    xshape = x.shape
+
+    def grad_fn(g):
+        g2 = g.reshape(n, d)
+        gh = g2 @ w2.T
+        gw2 = h.T @ g2
+        gh *= h > 0.0
+        return ((gh @ w1.T).reshape(xshape), flat.T @ gh, gh.sum(axis=0), gw2,
+                g2.sum(axis=0))
+
+    return _record(out, (x, w.w1, w.b1, w.w2, w.b2), grad_fn)
 
 
 class AxialBlock:

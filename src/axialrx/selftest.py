@@ -102,6 +102,25 @@ def check_attention_gradients() -> tuple[str, bool, str]:
     return ("attention gradient finite-difference", True, "one chunk and row-split chunks")
 
 
+def check_feed_forward_gradients() -> tuple[str, bool, str]:
+    """Finite differences of the feed-forward op receivers run. b1 puts every
+    pre-activation at least 0.5 from the ReLU kink: even hidden units are
+    active at all positions, odd ones at none."""
+    rng = np.random.default_rng(6)
+    x = ad.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+    w = layers.FeedForward(4, 5, rng)
+    pre = x.data.reshape(-1, 4) @ w.w1.data
+    w.b1.data = np.where(np.arange(5) % 2 == 0, 0.5 - pre.min(axis=0), -0.5 - pre.max(axis=0))
+    w.b2.data = rng.standard_normal(4)
+    r = ad.Tensor(rng.standard_normal((2, 3, 4)))
+    try:
+        gradcheck(lambda: ad.sum_all(layers.feed_forward(x, w) * r),
+                  [x, w.w1, w.b1, w.w2, w.b2])
+    except AssertionError as err:
+        return ("feed-forward gradient finite-difference", False, str(err))
+    return ("feed-forward gradient finite-difference", True, "active and inactive units")
+
+
 def check_softmax_rows() -> tuple[str, bool, str]:
     rng = np.random.default_rng(1)
     y = ad.softmax(ad.Tensor(rng.standard_normal((8, 13)) * 20.0), axis=1)
@@ -181,6 +200,7 @@ def check_flops() -> tuple[str, bool, str]:
 ALL_CHECKS = (
     check_gradients,
     check_attention_gradients,
+    check_feed_forward_gradients,
     check_softmax_rows,
     check_degenerate_equivalence,
     check_demapper,

@@ -1,5 +1,7 @@
 """Shared test utilities: finite-difference gradient checking, dense LDPC H,
-the composed attention that `layers.attend` must reproduce."""
+and the oracles the fused ops must reproduce bit for bit: the composed
+attention of `layers.attend`, the composed feed-forward of
+`layers.feed_forward` and the written-out `autodiff.layer_norm`."""
 
 from __future__ import annotations
 
@@ -8,7 +10,22 @@ import math
 import numpy as np
 
 from axialrx import flopcount, selftest
-from axialrx.autodiff import Tensor, _record, bmm, matmul, reshape, scale, softmax, transpose
+from axialrx.autodiff import (
+    LAYER_NORM_EPS,
+    DimensionError,
+    Tape,
+    Tensor,
+    _record,
+    backward,
+    bmm,
+    matmul,
+    relu,
+    reshape,
+    scale,
+    softmax,
+    sum_all,
+    transpose,
+)
 
 
 def gradcheck(build_loss, leaves, step=selftest.FD_STEP, tol=selftest.FD_TOL):
@@ -23,6 +40,20 @@ def gradcheck(build_loss, leaves, step=selftest.FD_STEP, tol=selftest.FD_TOL):
 
 def rand_tensor(rng: np.random.Generator, shape, requires_grad=True, scale=1.0) -> Tensor:
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
+
+
+def taped_bits(build, leaves, upstream: np.ndarray):
+    """`build()` under a tape and a FLOP counter with `block00` open, then
+    backward of sum(output * upstream): the output's shape and bytes, the
+    bytes of every leaf's gradient, the FLOP buckets and the tape's node
+    count. Equal results are bitwise equal, signed zeros included."""
+    with flopcount.FlopCounter() as counter, counter.bucket("block00"):
+        with Tape() as tape:
+            out = build()
+            loss = sum_all(out * Tensor(upstream))
+        grads = backward(loss, tape, leaves=leaves)
+    return ((out.shape, out.data.tobytes()), [grads[t].tobytes() for t in leaves],
+            counter.buckets, len(tape.nodes))
 
 
 def dense_h(code) -> np.ndarray:
@@ -116,3 +147,51 @@ def composed_attend(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, h
     merged = reshape(transpose(reshape(mixed, (s, heads, length, dh)), (0, 2, 1, 3)),
                      (s * length, d))
     return reshape(matmul(merged, wo), (s, length, d))
+
+
+def bias_add(x: Tensor, b: Tensor) -> Tensor:
+    """Add a 1-D bias along the last axis as a tape op: the step of the
+    composed feed-forward that `layers.feed_forward` replaced."""
+    if b.ndim != 1 or x.shape[-1] != b.shape[0]:
+        raise DimensionError(f"bias_add needs 1-D bias matching last dim: {x.shape} + {b.shape}")
+    flopcount.add(x.size)
+    out = Tensor(x.data + b.data)
+    lead = tuple(range(x.ndim - 1))
+
+    def grad_fn(g):
+        return g, g.sum(axis=lead)
+
+    return _record(out, (x, b), grad_fn)
+
+
+def composed_feed_forward(x: Tensor, w) -> Tensor:
+    """`layers.feed_forward` as the tape ops it replaced: reshape to
+    (positions, D), `matmul` -> `bias_add` -> `relu` -> `matmul` ->
+    `bias_add`, reshape back."""
+    flat = reshape(x, (-1, x.shape[-1]))
+    inner = relu(bias_add(matmul(flat, w.w1), w.b1))
+    return reshape(bias_add(matmul(inner, w.w2), w.b2), x.shape)
+
+
+def written_out_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """`autodiff.layer_norm` as the expressions it evaluates in place: the
+    mean, variance, normalisation and gradient written out with `np.mean`
+    and a fresh array per step."""
+    flopcount.add(8 * x.size)
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    xhat = centered * inv_std
+    out = Tensor(xhat * gamma.data + beta.data)
+    gd = gamma.data
+    lead = tuple(range(x.ndim - 1))
+
+    def grad_fn(g):
+        gh = g * gd
+        gx = inv_std * (
+            gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+        )
+        return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+    return _record(out, (x, gamma, beta), grad_fn)

@@ -14,7 +14,6 @@ from axialrx.autodiff import (
     Tensor,
     backward,
     bce_with_logits,
-    bias_add,
     bmm,
     conv2d,
     layer_norm,
@@ -30,7 +29,14 @@ from axialrx.autodiff import (
 from axialrx.flopcount import FlopCounter
 import axialrx.layers as layers_mod
 from axialrx.layers import _row_max
-from helpers import composed_attend, gradcheck, rand_tensor
+from helpers import (
+    bias_add,
+    composed_attend,
+    gradcheck,
+    rand_tensor,
+    taped_bits,
+    written_out_layer_norm,
+)
 
 
 def attend_at(cap, x, wq, wk, wv, wo, heads):
@@ -173,6 +179,21 @@ class TestLayerNorm:
     def test_empty_last_axis_rejected(self):
         with pytest.raises(DimensionError):
             layer_norm(Tensor(np.zeros((2, 0))), Tensor(np.zeros(0)), Tensor(np.zeros(0)))
+
+    @pytest.mark.parametrize("shape", [(6,), (5, 8), (3, 4, 7)])
+    def test_bitwise_equal_to_written_out_expressions(self, shape):
+        """Output, gradients and FLOP buckets of the in-place op against the
+        expressions it evaluates; the first row is constant."""
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        x.reshape(-1, shape[-1])[0] = 0.1
+        gamma, beta = rng.standard_normal(shape[-1]) + 1.0, rng.standard_normal(shape[-1])
+        upstream = rng.standard_normal(shape)
+        runs = []
+        for op in (layer_norm, written_out_layer_norm):
+            leaves = [Tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+            runs.append(taped_bits(lambda: op(*leaves), leaves, upstream))
+        assert runs[0] == runs[1]
 
 
 def conv2d_patch_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

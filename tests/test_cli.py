@@ -506,6 +506,33 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
 
 
+    def test_checkpoint_named_like_a_baseline_is_usage_error(self, tiny_config, tmp_path,
+                                                              capsys):
+        """A checkpoint named ls-lmmse.axrx would replace the LS-LMMSE row."""
+        train_out = tmp_path / "t"
+        main(["train", "--config", tiny_config, "--out", str(train_out)])
+        clash = tmp_path / "ls-lmmse.axrx"
+        clash.write_bytes((train_out / "checkpoint.axrx").read_bytes())
+        out = tmp_path / "o"
+        rc = main(["eval", "--config", tiny_config, "--out", str(out), str(clash)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(clash) in err and "'ls-lmmse'" in err and "baseline" in err
+        assert not out.exists()
+
+    def test_checkpoints_sharing_a_stem_are_usage_error(self, tiny_config, tmp_path, capsys):
+        """Two `train --out` directories each hold a checkpoint.axrx."""
+        first, second = tmp_path / "a" / "checkpoint.axrx", tmp_path / "b" / "checkpoint.axrx"
+        main(["train", "--config", tiny_config, "--out", str(first.parent)])
+        second.parent.mkdir()
+        second.write_bytes(first.read_bytes())
+        out = tmp_path / "o"
+        rc = main(["eval", "--config", tiny_config, "--out", str(out), str(first), str(second)])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err and "'checkpoint'" in err
+        assert not out.exists()
+
     def test_zero_block_budget_is_config_error(self, tmp_path, capsys):
         """max_blocks = 0 would report bler=0 from 0 measured blocks."""
         path = tmp_path / "zero.ini"
@@ -611,3 +638,26 @@ class TestSelftestCommand:
         monkeypatch.setattr("axialrx.autodiff.softmax", broken)
         assert main(["selftest"]) == EXIT_RUNTIME
         assert "FAIL" in capsys.readouterr().out
+
+    def test_unmasked_feed_forward_backward_detected(self, monkeypatch, capsys):
+        """A feed-forward whose backward drops the ReLU mask fails selftest."""
+        import axialrx.layers as layers_mod
+        from axialrx.autodiff import Tensor, _record
+
+        def unmasked(x, w):
+            flat = x.data.reshape(-1, x.shape[-1])
+            h = np.maximum(flat @ w.w1.data + w.b1.data, 0.0)
+            out = Tensor((h @ w.w2.data + w.b2.data).reshape(x.shape))
+
+            def grad_fn(g):
+                g2 = g.reshape(flat.shape)
+                gh = g2 @ w.w2.data.T
+                return ((gh @ w.w1.data.T).reshape(x.shape), flat.T @ gh, gh.sum(axis=0),
+                        h.T @ g2, g2.sum(axis=0))
+
+            return _record(out, (x, w.w1, w.b1, w.w2, w.b2), grad_fn)
+
+        monkeypatch.setattr(layers_mod, "feed_forward", unmasked)
+        assert main(["selftest"]) == EXIT_RUNTIME
+        out = capsys.readouterr().out
+        assert "[FAIL] feed-forward gradient" in out
