@@ -295,24 +295,20 @@ def cmd_train(args, config: dict[str, dict]) -> int:
     receiver_cfg = receiver_config_from(config)  # reject a bad [link] or [model] before any work
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # written first, so a failed or killed run leaves it for post-mortems
+    _write_config_snapshot(out / "config_snapshot.ini", config, seed)
     sim = _build_simulator(config)
     model = Receiver(receiver_cfg, seed=config["model"]["init_seed"])
 
     def checkpoint_fn(step: int, m) -> None:
         save(m.named_parameters(), str(out / f"checkpoint_step{step:06d}.axrx"))
 
-    try:
-        result = train(model, sim, train_cfg, log_fn=print, checkpoint_fn=checkpoint_fn)
-    except Exception:
-        # leave the resolved configuration behind for post-mortems
-        _write_config_snapshot(out / "config_snapshot.ini", config, seed)
-        raise
+    result = train(model, sim, train_cfg, log_fn=print, checkpoint_fn=checkpoint_fn)
     save(model.named_parameters(), str(out / "checkpoint.axrx"))
     _write_csv(out / "loss_trace.csv", config, seed,
                ["step", "loss", "snr_db", "velocity"],
                [(step, f"{loss:.10g}", f"{snr:.6g}", f"{vel:.6g}")
                 for step, loss, snr, vel in result.trace])
-    _write_config_snapshot(out / "config_snapshot.ini", config, seed)
     print(f"wrote {out / 'checkpoint.axrx'}, loss_trace.csv, config_snapshot.ini")
     return EXIT_OK
 
@@ -382,8 +378,7 @@ def cmd_flops(args, config: dict[str, dict]) -> int:
     rows: list[tuple] = []
     for variant in ("axial", "global", "cnn-resnet"):
         cfg = receiver_config_from(config, variant=variant)
-        report = model_report(cfg, seed=config["model"]["init_seed"],
-                              instrumented=not args.analytic_only)
+        report = model_report(cfg, instrumented=not args.analytic_only)
         print(render_report(report))
         print()
         rows.extend(report_csv_rows(report))
@@ -399,7 +394,7 @@ def cmd_flops(args, config: dict[str, dict]) -> int:
 def cmd_selftest(args, config: dict[str, dict]) -> int:
     from . import selftest
 
-    return EXIT_OK if selftest.run(print_fn=print) else EXIT_RUNTIME
+    return EXIT_OK if selftest.run() else EXIT_RUNTIME
 
 
 class _Parser(argparse.ArgumentParser):

@@ -122,12 +122,16 @@ class _ZeroGrid:
         self.n0 = 1.0
 
 
-def model_report(cfg: ReceiverConfig, seed: int = 0, instrumented: bool = True,
+def model_report(cfg: ReceiverConfig, instrumented: bool = True,
                  model: Receiver | None = None) -> FlopsReport:
-    """Analytic layer table plus, optionally, an instrumented forward count."""
+    """Analytic layer table plus, optionally, an instrumented forward count.
+
+    Counts and parameter totals depend only on shapes, so the model built
+    when none is given keeps `Receiver`'s default seed.
+    """
     analytic = analytic_layer_flops(cfg)
     attention_analytic = sum(v for k, v in analytic.items() if k.endswith("#core"))
-    model = model if model is not None else Receiver(cfg, seed=seed)
+    model = model if model is not None else Receiver(cfg)
     proj = attention_projection_params(cfg.variant, cfg.d) if cfg.variant != "cnn-resnet" else 0
     report = FlopsReport(
         variant=cfg.variant,

@@ -175,8 +175,9 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     leading dimension gives the bits of the same product on a contiguous
     copy. So values, gradients and FLOP charges are bitwise those of the
     composition. Backward runs the composition's gradient
-    expressions on contiguous head-layout copies of Q, V and the upstream
-    gradient. A single chunk keeps its probabilities for backward. Several
+    expressions on the forward's strided head views of Q and V and on the
+    same head view of the upstream gradient, so it copies none of them.
+    A single chunk keeps its probabilities for backward. Several
     chunks keep none: backward recomputes each chunk's probabilities (with
     no FLOP charge), visits the chunks last first, sums the gradients of
     chunks that share a `seq`, and adds every chunk's gradient into zeros,
@@ -277,7 +278,7 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     def grad_fn(g):
         g2 = g.reshape(s * length, d)
         gm = g2 @ wod.T
-        gq, gkt, gv = core_grads(*(np.ascontiguousarray(head_view(m)) for m in (gm, qp, vp)))
+        gq, gkt, gv = core_grads(head_view(gm), head_view(qp), head_view(vp))
         gq2 = flat(gq.transpose(0, 2, 1, 3))
         gk2 = flat(gkt.transpose(0, 3, 1, 2))
         gv2 = flat(gv.transpose(0, 2, 1, 3))

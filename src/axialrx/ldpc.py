@@ -1,6 +1,6 @@
 """Regular LDPC code with systematic encoding and normalized min-sum decoding.
 
-Construction is a seeded (col_weight, 2*col_weight)-regular edge matching:
+Construction is a seeded (3, 6)-regular edge matching:
 duplicate edges are repaired by stub swaps, several candidates are drawn,
 and the one with the fewest 4-cycles that also keeps the GF(2) rank
 deficiency at most one (rate within 0.01 of one half) wins. Candidates stay
@@ -35,6 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+COL_WEIGHT = 3
+ROW_WEIGHT = 2 * COL_WEIGHT
+CANDIDATES = 60
 MIN_SUM_SCALE = 0.75
 DEFAULT_MAX_ITER = 25
 RATE_TARGET = 0.5
@@ -208,18 +211,17 @@ def _gf2_rref(packed: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return packed, pivots
 
 
-def construct(n: int, col_weight: int = 3, seed: int = 0, tries: int = 60) -> LdpcCode:
-    """Build a (col_weight, 2*col_weight)-regular code of length n."""
-    if col_weight < 2:
-        raise LdpcConstructionError(f"column weight must be >= 2, got {col_weight}")
-    row_weight = 2 * col_weight
-    if (n * col_weight) % row_weight != 0:
-        raise LdpcConstructionError(f"n={n} incompatible with ({col_weight},{row_weight}) regularity")
-    m = n * col_weight // row_weight
+def construct(n: int, seed: int) -> LdpcCode:
+    """Build a (COL_WEIGHT, ROW_WEIGHT)-regular code of length n, the best
+    of CANDIDATES seeded draws."""
+    if (n * COL_WEIGHT) % ROW_WEIGHT != 0:
+        raise LdpcConstructionError(
+            f"n={n} incompatible with ({COL_WEIGHT},{ROW_WEIGHT}) regularity")
+    m = n * COL_WEIGHT // ROW_WEIGHT
     rng = np.random.default_rng(seed)
     candidates = []
-    for _ in range(tries):
-        row_cols = _sample_regular_h(n, m, col_weight, row_weight, rng)
+    for _ in range(CANDIDATES):
+        row_cols = _sample_regular_h(n, m, COL_WEIGHT, ROW_WEIGHT, rng)
         if row_cols is not None:
             candidates.append((_count_four_cycles(row_cols, n), row_cols))
     candidates.sort(key=lambda pair: pair[0])
@@ -229,14 +231,13 @@ def construct(n: int, col_weight: int = 3, seed: int = 0, tries: int = 60) -> Ld
         k = n - rank
         if m - rank > 1 or abs(k / n - RATE_TARGET) > RATE_TOLERANCE:
             continue
-        return _assemble(n, rref, pivots, cycles, row_cols, col_weight)
-    raise LdpcConstructionError(
-        f"no valid ({col_weight},{row_weight})-regular matrix for n={n} in {tries} tries")
+        return _assemble(n, rref, pivots, cycles, row_cols)
+    raise LdpcConstructionError(f"no valid ({COL_WEIGHT},{ROW_WEIGHT})-regular matrix for "
+                                f"n={n} in {CANDIDATES} tries")
 
 
 def _assemble(n: int, rref: np.ndarray, pivots: list[int], cycles: int,
-              row_cols: np.ndarray, col_weight: int) -> LdpcCode:
-    row_weight = row_cols.shape[1]
+              row_cols: np.ndarray) -> LdpcCode:
     rank = len(pivots)
     pivot_cols = np.asarray(pivots, dtype=np.int64)
     info_cols = np.setdiff1d(np.arange(n), pivot_cols)
@@ -254,8 +255,8 @@ def _assemble(n: int, rref: np.ndarray, pivots: list[int], cycles: int,
 
     # A stable sort of the row-major edge list by column lists each
     # column's edges in ascending row order.
-    order = np.argsort(row_cols.ravel(), kind="stable").reshape(n, col_weight)
-    col_rows, col_slots = order // row_weight, order % row_weight
+    order = np.argsort(row_cols.ravel(), kind="stable").reshape(n, COL_WEIGHT)
+    col_rows, col_slots = order // ROW_WEIGHT, order % ROW_WEIGHT
     return LdpcCode(n=n, k=n - rank, info_cols=info_cols, pivot_cols=pivot_cols,
                     back_sub=back_sub, row_cols=row_cols, col_rows=col_rows,
                     col_slots=col_slots, four_cycles=cycles)

@@ -21,12 +21,12 @@ FD_TOL = 1e-4
 FD_ABS_FLOOR = 1e-7
 
 
-def gradcheck(build_loss, leaves, step=FD_STEP, tol=FD_TOL) -> float:
-    """Compare tape gradients against central finite differences.
+def gradcheck(build_loss, leaves) -> float:
+    """Compare tape gradients against central differences of step FD_STEP.
 
     `build_loss` must construct the graph from scratch on each call,
     reading the current contents of every leaf in `leaves`. Each gradient
-    component must match within relative `tol`, unless it differs by at
+    component must match within relative FD_TOL, unless it differs by at
     most FD_ABS_FLOOR. Returns the worst relative error seen; raises
     AssertionError naming the leaf shape and index of the first mismatch.
     """
@@ -39,17 +39,17 @@ def gradcheck(build_loss, leaves, step=FD_STEP, tol=FD_TOL) -> float:
         analytic = grads[leaf].reshape(-1)
         for idx in range(flat.size):
             keep = flat[idx]
-            flat[idx] = keep + step
+            flat[idx] = keep + FD_STEP
             up = build_loss().item()
-            flat[idx] = keep - step
+            flat[idx] = keep - FD_STEP
             down = build_loss().item()
             flat[idx] = keep
-            fd = (up - down) / (2.0 * step)
+            fd = (up - down) / (2.0 * FD_STEP)
             diff = abs(analytic[idx] - fd)
             if diff > FD_ABS_FLOOR:
                 rel = diff / max(abs(analytic[idx]), abs(fd))
                 worst = max(worst, rel)
-                if rel >= tol:
+                if rel >= FD_TOL:
                     raise AssertionError(
                         f"gradient mismatch at leaf shape {leaf.shape} index {idx}: "
                         f"autodiff {analytic[idx]:.8e} vs finite-diff {fd:.8e} (rel {rel:.3e})")
@@ -170,7 +170,7 @@ def check_demapper() -> tuple[str, bool, str]:
 
 
 def check_ldpc() -> tuple[str, bool, str]:
-    code = ldpc.construct(48, col_weight=3, seed=5)
+    code = ldpc.construct(48, seed=5)
     rng = np.random.default_rng(4)
     c = ldpc.encode(code, rng.integers(0, 2, code.k))
     base = np.where(c == 1, 20.0, -20.0)
@@ -209,7 +209,7 @@ ALL_CHECKS = (
 )
 
 
-def run(print_fn=print) -> bool:
+def run() -> bool:
     all_ok = True
     for check in ALL_CHECKS:
         try:
@@ -217,5 +217,5 @@ def run(print_fn=print) -> bool:
         except Exception as err:  # a crashed check is a failed check
             name, ok, detail = check.__name__, False, f"raised {err!r}"
         all_ok = all_ok and ok
-        print_fn(f"[{'PASS' if ok else 'FAIL'}] {name:<40} {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name:<40} {detail}")
     return all_ok

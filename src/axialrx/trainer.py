@@ -155,23 +155,24 @@ class LinkSimulator:
     def __init__(self, link: phy.LinkConfig, n_taps: int = 8, n_sinusoids: int = 32):
         self.link = link
         self.pilots = link.pilots()
-        self.code = ldpc_mod.construct(link.n_coded_bits, col_weight=3, seed=link.pilot_seed)
+        self.code = ldpc_mod.construct(link.n_coded_bits, seed=link.pilot_seed)
         self.n_taps = n_taps
         self.n_sinusoids = n_sinusoids
 
     def sample(self, entropy: Sequence[int], snr_db: float | None = None,
-               velocity_range: tuple[float, float] | None = None,
-               static_flat: bool = False) -> tuple[phy.ResourceGrid, np.ndarray, dict]:
-        """One (grid, info_bits, meta) draw, fully determined by `entropy`."""
+               velocity_range: tuple[float, float] | None = None
+               ) -> tuple[phy.ResourceGrid, np.ndarray, dict]:
+        """One (grid, info_bits, meta) draw, fully determined by `entropy`.
+
+        A static flat channel is a link whose `velocity_mps` and
+        `delay_spread_s` ranges are both (0.0, 0.0).
+        """
         link = self.link
         rng = np.random.default_rng(np.random.SeedSequence(list(entropy)))
         snr = float(rng.uniform(*link.snr_db)) if snr_db is None else float(snr_db)
         vel_range = velocity_range if velocity_range is not None else link.velocity_mps
         velocity = float(rng.uniform(*vel_range))
         spread = float(rng.uniform(*link.delay_spread_s))
-        if static_flat:
-            velocity = 0.0
-            spread = 0.0
         profile = channel_mod.TdlProfile.make(spread, velocity, link.carrier_hz,
                                               n_taps=self.n_taps)
         h = channel_mod.generate(profile, link.t, link.f, link.n_rx,

@@ -1,4 +1,4 @@
-"""Shared test utilities: finite-difference gradient checking, dense LDPC H,
+"""Shared test utilities: `selftest.gradcheck` for finite differences, dense LDPC H,
 and the oracles the fused ops must reproduce bit for bit: the composed
 attention of `layers.attend`, the composed feed-forward of
 `layers.feed_forward` and the written-out `autodiff.layer_norm`."""
@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from axialrx import flopcount, selftest
+from axialrx import flopcount
 from axialrx.autodiff import (
     LAYER_NORM_EPS,
     DimensionError,
@@ -26,16 +26,7 @@ from axialrx.autodiff import (
     sum_all,
     transpose,
 )
-
-
-def gradcheck(build_loss, leaves, step=selftest.FD_STEP, tol=selftest.FD_TOL):
-    """Compare tape gradients against central finite differences.
-
-    A thin wrapper around `axialrx.selftest.gradcheck`: fails with a
-    message naming the leaf shape and index of the first mismatching
-    component and returns the worst relative error seen.
-    """
-    return selftest.gradcheck(build_loss, leaves, step=step, tol=tol)
+from axialrx.selftest import gradcheck  # the tests' finite-difference check
 
 
 def rand_tensor(rng: np.random.Generator, shape, requires_grad=True, scale=1.0) -> Tensor:

@@ -448,6 +448,22 @@ class TestTrainCommand:
             assert first.startswith("# config_hash=")
             assert "seed=5" in first and "version=" in first
 
+    def test_failed_run_leaves_the_snapshot(self, tiny_config, tmp_path, monkeypatch, capsys):
+        assert main(["train", "--config", tiny_config, "--out", str(tmp_path / "ok"),
+                     "--seed", "5"]) == EXIT_OK
+
+        def failing_train(*args, **kwargs):
+            raise RuntimeError("training blew up")
+
+        monkeypatch.setattr("axialrx.trainer.train", failing_train)
+        out = tmp_path / "failed"
+        assert main(["train", "--config", tiny_config, "--out", str(out),
+                     "--seed", "5"]) == EXIT_RUNTIME
+        assert "training blew up" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config_snapshot.ini"]
+        assert (out / "config_snapshot.ini").read_bytes() == \
+            (tmp_path / "ok" / "config_snapshot.ini").read_bytes()
+
     def test_loss_trace_schema(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         main(["train", "--config", tiny_config, "--out", str(out), "--seed", "5"])

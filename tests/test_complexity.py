@@ -67,14 +67,14 @@ class TestModelReport:
     @pytest.mark.parametrize("variant", ["axial", "global", "cnn-resnet"])
     def test_counted_equals_analytic_per_layer(self, variant):
         cfg = small_cfg(variant)
-        report = model_report(cfg, seed=0, instrumented=True)
+        report = model_report(cfg, instrumented=True)
         assert report.counted_layers == report.analytic_layers
         assert report.counted_total == report.analytic_total
 
     @pytest.mark.parametrize("variant", ["axial", "global"])
     def test_counted_equals_analytic_with_unit_head_dim(self, variant):
         # 1/sqrt(d_h) = 1 must still be charged as a scale
-        report = model_report(small_cfg(variant, heads=8), seed=0, instrumented=True)
+        report = model_report(small_cfg(variant, heads=8), instrumented=True)
         assert report.counted_layers == report.analytic_layers
 
     def test_instrumented_attention_matches_formula_random_configs(self):

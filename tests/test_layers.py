@@ -714,7 +714,7 @@ class TestChunkedCore:
         monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", CHUNK_PATHS[path][0])
         cfg = ReceiverConfig(variant=variant, t=3, f=5, n_rx=1, d=8, heads=2, n_blocks=2,
                              bits_per_symbol=2)
-        report = model_report(cfg, seed=0, instrumented=True)
+        report = model_report(cfg, instrumented=True)
         assert report.counted_layers == report.analytic_layers
         assert report.attention_counted == report.attention_analytic
 

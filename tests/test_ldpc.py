@@ -116,18 +116,20 @@ def assert_rref_matches_oracle(h: np.ndarray) -> None:
 
 @pytest.fixture(scope="module")
 def code48():
-    return construct(48, col_weight=3, seed=5)
+    return construct(48, seed=5)
 
 
 @pytest.fixture(scope="module")
 def code576():
-    return construct(576, col_weight=3, seed=5, tries=20)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ldpc, "CANDIDATES", 20)
+        return construct(576, seed=5)
 
 
 @pytest.fixture(scope="module")
 def small_codes():
     """Codes of several even lengths and seeds, keyed by (n, seed)."""
-    return {(n, seed): construct(n, col_weight=3, seed=seed)
+    return {(n, seed): construct(n, seed=seed)
             for n in (48, 96, 192, 576) for seed in range(3)}
 
 
@@ -144,8 +146,8 @@ class TestConstruct:
         assert len(gf2_rref_oracle(dense_h(code48))[1]) == code48.n - code48.k
 
     def test_determinism(self):
-        a = construct(48, col_weight=3, seed=9)
-        b = construct(48, col_weight=3, seed=9)
+        a = construct(48, seed=9)
+        b = construct(48, seed=9)
         np.testing.assert_array_equal(dense_h(a), dense_h(b))
 
     def test_larger_code(self, code576):
@@ -162,9 +164,7 @@ class TestConstruct:
 
     def test_invalid_parameters(self):
         with pytest.raises(LdpcConstructionError):
-            construct(49, col_weight=3, seed=0)
-        with pytest.raises(LdpcConstructionError):
-            construct(48, col_weight=1, seed=0)
+            construct(49, seed=0)
 
 
 class TestRref:
@@ -515,12 +515,12 @@ class TestGoldenCodes:
         (576, 7, "ddebaa66dcc357b777f36fd5a01c8be788435a23f2be7b7533329a63bb89418e", 288, 17),
     ])
     def test_desk_codes(self, n, seed, alist_sha, k, cycles):
-        code = construct(n, col_weight=3, seed=seed)
+        code = construct(n, seed=seed)
         assert (code.k, code.four_cycles) == (k, cycles)
         assert sha256(to_alist(code).encode()) == alist_sha
 
     def test_desk_encoder_arrays(self):
-        assert encoder_hashes(construct(576, col_weight=3, seed=7)) == (
+        assert encoder_hashes(construct(576, seed=7)) == (
             "e510e5522f483c2c54b2a643b0e3dd4a8e276d2c21e0ef3a16fa57e0060e63af",
             "dec2b7cab191240888b85e4afe3b8d78d25040422511e5c4c7b27572f70d8b23",
             "9c7adf440184f820fb84130dfa9f5406653accbb859b088e126324544c0d124e")
@@ -530,14 +530,14 @@ class TestGoldenCodes:
         array it replaced (21 MB at n = 9216) put the traced peak at 43 MiB."""
         tracemalloc.start()
         try:
-            construct(9216, col_weight=3, seed=7)
+            construct(9216, seed=7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
     def test_paper_code_and_codeword(self):
-        code = construct(9216, col_weight=3, seed=7)
+        code = construct(9216, seed=7)
         assert (code.k, code.four_cycles) == (4608, 12)
         assert sha256(to_alist(code).encode()) == (
             "b97a1b8bed071add039dfbc811fdfb719a2e0ca2c3a46f3890eeabe39bc32fe4")

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,9 +159,11 @@ class TestLinkSimulator:
         assert meta["snr_db"] == 9.0
         assert 25.0 <= meta["velocity"] <= 40.0
 
-    def test_static_flat_sample(self, small_sim):
-        grid, _, meta = small_sim.sample((1, 2, 4), static_flat=True)
-        assert meta["velocity"] == 0.0
+    def test_static_flat_sample(self):
+        static = LinkSimulator(replace(SMALL_LINK, velocity_mps=(0.0, 0.0),
+                                       delay_spread_s=(0.0, 0.0)))
+        _, _, meta = static.sample((1, 2, 4))
+        assert (meta["velocity"], meta["delay_spread"]) == (0.0, 0.0)
         h = meta["h"]
         reference = np.broadcast_to(h[0:1, 0:1, :], h.shape)
         np.testing.assert_allclose(h, reference, atol=1e-12)
