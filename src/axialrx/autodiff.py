@@ -1,6 +1,8 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float tensors with tape-based reverse-mode differentiation.
 
-Every value is a `Tensor` wrapping a C-contiguous float64 ndarray. While a
+Every value is a `Tensor` wrapping a C-contiguous float64 or float32
+ndarray; the ops allocate their results in their input's dtype, so a
+forward over float32 parameters runs in float32. While a
 `Tape` is active (as a context manager), operations whose inputs require a
 gradient are recorded onto it; `backward` then replays the tape in reverse
 and returns a gradient map for the leaf tensors. With no active tape the
@@ -8,9 +10,10 @@ same functions run as plain forward numerics, which is how inference and
 data generation execute.
 
 Deliberate restrictions keep the gradient rules small and auditable:
-float64 only, no broadcasting except scalar ops and per-feature parameter
-vectors, and a fresh tape per forward pass. One process has one stack of
-active tapes; the innermost one records.
+no broadcasting except scalar ops and per-feature parameter vectors, and
+a fresh tape per forward pass. One process has one stack of active tapes;
+the innermost one records. Training and gradient checks run in float64;
+only evaluation forwards run in float32.
 """
 
 from __future__ import annotations
@@ -28,15 +31,21 @@ class DimensionError(ValueError):
 
 _TAPES: list["Tape"] = []  # active tapes, innermost last
 LAYER_NORM_EPS = 1e-5
+_KEPT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 
 class Tensor:
-    """Dense real tensor: shape metadata over a flat row-major float64 buffer."""
+    """Dense real tensor: shape metadata over a flat row-major buffer.
+
+    float32 and float64 data keep their dtype; any other input (ints,
+    bools, float16, Python numbers) becomes float64.
+    """
 
     __slots__ = ("data", "requires_grad", "_src_tape")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64, order="C")
+        data = np.asarray(data, order="C")
+        self.data = data if data.dtype in _KEPT_DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self._src_tape = None
 
@@ -275,7 +284,11 @@ def bce_with_logits(x: Tensor, bits: np.ndarray, mask: np.ndarray) -> Tensor:
 
     The binary cross-entropy of logits x against 0/1 `bits` (both arrays of
     x's shape, `mask` boolean) as one tape node. Its gradient is
-    (sigmoid(x) - bits) * mask / count. Forward and gradient are the IEEE
+    (sigmoid(x) - bits) * mask / count, except at a logit of exactly 0: there
+    the composition's subgradients (relu' = 0, sign(0) = 0) give
+    -bits * mask / count where the derivative is (1/2 - bits) * mask / count.
+    A fresh receiver's zero output convolution puts every logit there on the
+    first training step. Forward and gradient are the IEEE
     operations of the composed abs/exp/log1p/relu/mul/sub/sum/scale graph in
     the order that graph computes and accumulates them, so values and
     gradients are bitwise those of the composition, and so is the FLOP
@@ -364,10 +377,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     flopcount.add(t * f * c_out * (2 * k * k * c_in + 1))
     pad = k // 2
     width = f + k - 1
-    xp = np.zeros((t + k, width, c_in))
+    xp = np.zeros((t + k, width, c_in), dtype=x.data.dtype)
     xp[pad : pad + t, pad : pad + f] = x.data
     rows = xp.reshape(-1, c_in)
-    prod = np.empty((t, width, c_out))
+    prod = np.empty((t, width, c_out), dtype=x.data.dtype)
     prod_rows = prod.reshape(t * width, c_out)
     acc = np.tile(b.data, (t, f, 1))
     wd = w.data

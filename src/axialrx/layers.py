@@ -35,9 +35,9 @@ from .autodiff import (
 
 VARIANTS = ("axial", "global", "cnn-resnet")
 
-# Cap on the scores one attention-core chunk holds: 2**16 float64 scores
-# (512 KB) keep the one reused score buffer in L2 through both products and
-# the softmax between them.
+# Cap on the scores one attention-core chunk holds: 2**16 scores (512 KB in
+# float64, 256 KB in float32) keep the one reused score buffer in L2 through
+# both products and the softmax between them.
 CORE_CHUNK_SCORES = 1 << 16
 
 
@@ -205,7 +205,7 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     qd, vd = head_view(qp), head_view(vp)
     ktd = np.ascontiguousarray(kp.reshape(s, length, heads, dh).transpose(0, 2, 3, 1))
     del kp
-    merged = np.empty((s, length, heads, dh))
+    merged = np.empty((s, length, heads, dh), dtype=x.data.dtype)
     out_heads = merged.transpose(0, 2, 1, 3)
     group = CORE_CHUNK_SCORES // (length * length)
     if group >= heads:
@@ -228,7 +228,7 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
         p /= p.sum(axis=-1, keepdims=True)
         return p
 
-    buf = np.empty(size)
+    buf = np.empty(size, dtype=x.data.dtype)
     for seq, blocks in groups:
         q, v, mixed = qd[seq], vd[seq], out_heads[seq]
         if len(blocks) > 1:
@@ -453,13 +453,19 @@ class Receiver:
         self.output_conv = ConvLayer(1, width, cfg.bits_per_symbol, rng, zero_init=True)
 
     def forward(self, grid) -> Tensor:
-        """grid provides `.y` (T, F, N_rx complex) and `.n0`."""
+        """grid provides `.y` (T, F, N_rx complex) and `.n0`.
+
+        The features are cast to the parameters' dtype, so the forward runs
+        in float32 when the parameters are float32.
+        """
         y, n0 = grid.y, grid.n0
         if y.shape != (self.cfg.t, self.cfg.f, self.cfg.n_rx):
             raise ValueError(f"grid shape {y.shape} does not match configured "
                              f"({self.cfg.t}, {self.cfg.f}, {self.cfg.n_rx})")
         with flopcount.bucket("input_conv"):
-            x = self.input_conv(input_features(y, n0))
+            features = input_features(y, n0).data.astype(self.input_conv.w.data.dtype,
+                                                          copy=False)
+            x = self.input_conv(Tensor(features))
         if self.pos is not None:
             with flopcount.bucket("pos"):
                 x = x + self.pos

@@ -121,6 +121,22 @@ def check_feed_forward_gradients() -> tuple[str, bool, str]:
     return ("feed-forward gradient finite-difference", True, "active and inactive units")
 
 
+def check_bce_gradients() -> tuple[str, bool, str]:
+    """Finite differences of the masked BCE-with-logits loss over logits of
+    both signs, with a mask that drops every third position. No logit is
+    exactly 0: there the op returns its composed graph's gradient, -bits,
+    where the loss's derivative is 1/2 - bits (ROADMAP, open items)."""
+    rng = np.random.default_rng(7)
+    x = ad.Tensor(rng.standard_normal((3, 4, 2)) * 2.0, requires_grad=True)
+    bits = rng.integers(0, 2, (3, 4, 2)).astype(np.float64)
+    mask = np.broadcast_to((np.arange(12) % 3 != 0).reshape(3, 4, 1), x.shape)
+    try:
+        gradcheck(lambda: ad.bce_with_logits(x, bits, mask), [x])
+    except AssertionError as err:
+        return ("BCE gradient finite-difference", False, str(err))
+    return ("BCE gradient finite-difference", True, "both signs, partial mask")
+
+
 def check_softmax_rows() -> tuple[str, bool, str]:
     rng = np.random.default_rng(1)
     y = ad.softmax(ad.Tensor(rng.standard_normal((8, 13)) * 20.0), axis=1)
@@ -201,6 +217,7 @@ ALL_CHECKS = (
     check_gradients,
     check_attention_gradients,
     check_feed_forward_gradients,
+    check_bce_gradients,
     check_softmax_rows,
     check_degenerate_equivalence,
     check_demapper,

@@ -16,6 +16,7 @@ min-sum call.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -201,7 +202,9 @@ def train(model: Receiver, sim: LinkSimulator, cfg: TrainConfig,
     every parameter is used once per forward, so summing the per-grid
     gradients in that order repeats the additions of one tape over the
     whole batch, bit for bit. The loss is the batch mean, summed first
-    to last.
+    to last. The sum accumulates in place into gradient arrays that
+    `train` owns. The first grid visited is copied in, not kept, because
+    `backward` may hand one array to two leaves.
 
     `checkpoint_fn(step, model)` fires every `cfg.checkpoint_every` steps
     when both are set; the caller owns serialization.
@@ -211,12 +214,12 @@ def train(model: Receiver, sim: LinkSimulator, cfg: TrainConfig,
     state = AdamState()
     trace: list[tuple[int, float, float, float]] = []
     weight = 1.0 / cfg.batch_size
+    grads = {t: np.empty_like(t.data) for t in leaves}
     for step in range(cfg.steps):
         samples = [sim.sample((cfg.seed, TRAIN_STREAM, step, b)) for b in range(cfg.batch_size)]
         snrs = [meta["snr_db"] for _, _, meta in samples]
         velocities = [meta["velocity"] for _, _, meta in samples]
         losses = [0.0] * cfg.batch_size
-        grads: dict[Tensor, np.ndarray] | None = None
         for b in reversed(range(cfg.batch_size)):
             grid = samples[b][0]
             with Tape() as tape:
@@ -224,9 +227,12 @@ def train(model: Receiver, sim: LinkSimulator, cfg: TrainConfig,
                 loss_b = bce_loss(llr, grid.bits, grid.data_mask)
                 losses[b] = loss_b.item()
                 loss = scale(loss_b, weight)
-            grid_grads = backward(loss, tape, leaves=leaves)
-            grads = grid_grads if grads is None else \
-                {t: grads[t] + g for t, g in grid_grads.items()}
+            first = b == cfg.batch_size - 1
+            for t, g in backward(loss, tape, leaves=leaves).items():
+                if first:
+                    np.copyto(grads[t], g)
+                else:
+                    grads[t] += g
         loss_value = sum(losses) * weight
         if not math.isfinite(loss_value):
             raise TrainingDiverged(step, f"snr={snrs} velocity={velocities}")
@@ -244,8 +250,19 @@ ReceiverFn = Callable[[phy.ResourceGrid, dict], np.ndarray]
 
 
 def neural_receiver(model: Receiver) -> ReceiverFn:
+    """Receive with a float32 snapshot of `model` taken at call time.
+
+    The snapshot is a deep copy whose parameters are cast to float32 once,
+    so every forward and its LLRs are float32; `model` keeps its float64
+    parameters untouched. Training `model` or calling its `load_state`
+    afterwards does not reach this receiver: call again for a new snapshot.
+    """
+    snapshot = copy.deepcopy(model)
+    for tensor in snapshot.named_parameters().values():
+        tensor.data = tensor.data.astype(np.float32)
+
     def run(grid: phy.ResourceGrid, meta: dict) -> np.ndarray:
-        return model.forward(grid).data
+        return snapshot.forward(grid).data
 
     return run
 

@@ -80,6 +80,38 @@ def conv2d_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+class TestTensorDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float32_and_float64_are_kept(self, dtype):
+        data = np.arange(6.0, dtype=dtype).reshape(2, 3)
+        tensor = Tensor(data)
+        assert tensor.data.dtype == dtype
+        assert tensor.data is data
+
+    @pytest.mark.parametrize("data", [
+        np.arange(6).reshape(2, 3),
+        np.array([[True, False, True]]),
+        np.arange(6, dtype=np.float16).reshape(3, 2),
+        [1, 2, 3],
+        2.5,
+    ], ids=["int", "bool", "float16", "list", "scalar"])
+    def test_other_input_becomes_float64(self, data):
+        tensor = Tensor(data)
+        assert tensor.data.dtype == np.float64
+        assert tensor.data.flags.c_contiguous
+        np.testing.assert_array_equal(tensor.data, np.asarray(data, dtype=np.float64))
+
+    def test_float32_ops_stay_float32(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((3, 4, 2)).astype(np.float32))
+        w = Tensor(rng.standard_normal((3, 3, 2, 5)).astype(np.float32))
+        b = Tensor(rng.standard_normal(5).astype(np.float32))
+        gamma, beta = Tensor(np.ones(5, np.float32)), Tensor(np.zeros(5, np.float32))
+        y = relu(layer_norm(conv2d(x, w, b), gamma, beta))
+        assert y.data.dtype == np.float32
+        assert sum_all(y).data.dtype == np.float32
+
+
 class TestMatmul:
     def test_identity(self):
         b = Tensor(np.arange(12.0).reshape(3, 4))

@@ -677,3 +677,19 @@ class TestSelftestCommand:
         assert main(["selftest"]) == EXIT_RUNTIME
         out = capsys.readouterr().out
         assert "[FAIL] feed-forward gradient" in out
+
+    def test_unmasked_bce_backward_detected(self, monkeypatch, capsys):
+        """A BCE-with-logits whose backward drops the mask fails selftest."""
+        import axialrx.autodiff as ad
+
+        def unmasked(x, bits, mask):
+            c = 1.0 / int(mask.sum())
+            xd = x.data
+            per_element = np.log1p(np.exp(-np.abs(xd))) + np.maximum(xd, 0.0) - xd * bits
+            out = ad.Tensor((per_element * mask).sum() * c)
+            sigmoid = 1.0 / (1.0 + np.exp(-xd))
+            return ad._record(out, (x,), lambda g: ((sigmoid - bits) * (g * c),))
+
+        monkeypatch.setattr(ad, "bce_with_logits", unmasked)
+        assert main(["selftest"]) == EXIT_RUNTIME
+        assert "[FAIL] BCE gradient" in capsys.readouterr().out

@@ -267,6 +267,45 @@ class TestTrain:
         assert last < first
 
 
+def seeded_receiver(preset, variant):
+    """The preset's receiver with a seeded non-zero output convolution, so its
+    LLRs are not all zero."""
+    from axialrx import cli
+
+    config = cli.load_config(None, preset)
+    model = Receiver(cli.receiver_config_from(config, variant=variant),
+                     seed=config["model"]["init_seed"])
+    w = model.output_conv.w
+    w.data = np.random.default_rng(77).standard_normal(w.shape) * 0.1
+    sim = LinkSimulator(cli.link_from_config(config))
+    return model, sim.sample((2024, 11))
+
+
+class TestNeuralReceiver:
+    @pytest.mark.parametrize("variant", ["axial", "global", "cnn-resnet"])
+    @pytest.mark.parametrize("preset", ["desk", "paper"])
+    def test_float32_llrs_track_float64_forward(self, preset, variant):
+        model, (grid, _, meta) = seeded_receiver(preset, variant)
+        want = model.forward(grid).data
+        got = neural_receiver(model)(grid, meta)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert np.abs(want).max() > 1.0
+        assert np.abs(got - want).max() < 1e-4
+
+    def test_snapshot_leaves_model_alone(self):
+        model, (grid, _, meta) = seeded_receiver("desk", "axial")
+        before = {name: t.data.copy() for name, t in model.named_parameters().items()}
+        receive = neural_receiver(model)
+        llr = receive(grid, meta)
+        for name, tensor in model.named_parameters().items():
+            assert tensor.data.dtype == np.float64, name
+            assert tensor.data.tobytes() == before[name].tobytes(), name
+        model.load_state({name: value * 0.5 for name, value in before.items()})
+        model.output_conv.b.data += 1.0
+        assert receive(grid, meta).tobytes() == llr.tobytes()
+        assert neural_receiver(model)(grid, meta).tobytes() != llr.tobytes()
+
+
 def one_tape_train(model, sim, cfg):
     """Every grid of a step on one tape, summed first to last: the trace of `train`."""
     params = model.named_parameters()

@@ -7,8 +7,10 @@ Run from the repository root:
 Each line is `<name> <sha256>`. Two checkouts that compute the same bits
 print identical lines, so `diff` of their outputs is the bitwise check:
 
-- `llr <preset>/<variant>`: the untaped forward LLRs of every variant on one
-  sampled grid at desk and at paper dims
+- `llr <preset>/<variant>`: the untaped float64 forward LLRs of every variant
+  on one sampled grid at desk and at paper dims
+- `llr-eval <preset>/<variant>`: the float32 LLRs that
+  `trainer.neural_receiver` gives on the same grid, for the same receivers
 - `grads <preset>/<variant>`: the BCE loss and every parameter gradient of
   one taped grid, for every desk variant and the paper axial receiver
 - `train checkpoint` and `train loss_trace`: the checkpoint and the loss
@@ -16,7 +18,7 @@ print identical lines, so `diff` of their outputs is the bitwise check:
 
 A fresh receiver's output convolution is zero, which would make every LLR
 and most gradients zero, so each receiver gets a seeded non-zero one.
-Peaks near 0.4 GB (the taped paper grid) and takes about five seconds on
+Peaks near 0.4 GB (the taped paper grid) and takes about six seconds on
 one core.
 """
 
@@ -32,7 +34,7 @@ from pathlib import Path
 from axialrx import cli  # first: it pins BLAS to one thread before numpy loads
 from axialrx.autodiff import Tape, backward
 from axialrx.layers import VARIANTS, Receiver
-from axialrx.trainer import LinkSimulator, bce_loss
+from axialrx.trainer import LinkSimulator, bce_loss, neural_receiver
 
 import numpy as np
 
@@ -57,11 +59,13 @@ def seeded_receiver(config: dict, variant: str) -> Receiver:
 
 def grid_digests(preset: str, taped: tuple[str, ...]) -> list[tuple[str, str]]:
     config = cli.load_config(None, preset)
-    grid = LinkSimulator(cli.link_from_config(config)).sample(GRID_ENTROPY)[0]
-    lines = []
+    grid, _, meta = LinkSimulator(cli.link_from_config(config)).sample(GRID_ENTROPY)
+    lines, evals = [], []
     for variant in VARIANTS:
         model = seeded_receiver(config, variant)
         lines.append((f"llr {preset}/{variant}", sha256(model(grid).data.tobytes())))
+        evals.append((f"llr-eval {preset}/{variant}",
+                      sha256(neural_receiver(model)(grid, meta).tobytes())))
         if variant not in taped:
             continue
         params = model.named_parameters()
@@ -72,7 +76,7 @@ def grid_digests(preset: str, taped: tuple[str, ...]) -> list[tuple[str, str]]:
         for name, tensor in params.items():
             chunks += [name.encode(), grads[tensor].tobytes()]
         lines.append((f"grads {preset}/{variant}", sha256(*chunks)))
-    return lines
+    return lines + evals
 
 
 def train_digests() -> list[tuple[str, str]]:
