@@ -10,14 +10,17 @@ same functions run as plain forward numerics, which is how inference and
 data generation execute.
 
 Deliberate restrictions keep the gradient rules small and auditable:
-no broadcasting except scalar ops and per-feature parameter vectors, and
-a fresh tape per forward pass. One process has one stack of active tapes;
-the innermost one records. Training and gradient checks run in float64;
-only evaluation forwards run in float32.
+no broadcasting except scalar ops, per-feature parameter vectors and the
+second operand of `add` over leading axes (the positional encoding over
+the block axis of a stack of grids), and a fresh tape per forward pass.
+One process has one stack of active tapes; the innermost one records.
+Training and gradient checks run in float64; only evaluation forwards
+run in float32.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
 
 import numpy as np
@@ -191,10 +194,15 @@ def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
+    """a + b, where b has a's shape or a's trailing shape (b is broadcast over
+    a's leading axes, such as a positional encoding over a stack of grids).
+    b's gradient sums g over those leading axes; with none, it is g itself."""
+    lead = tuple(range(a.ndim - b.ndim))
+    if a.shape[len(lead):] != b.shape:
+        raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
     flopcount.add(a.size)
     out = Tensor(a.data + b.data)
-    return _record(out, (a, b), lambda g: (g, g))
+    return _record(out, (a, b), lambda g: (g, g.sum(axis=lead) if lead else g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -356,17 +364,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """2-D cross-correlation with zero "same" padding.
+    """2-D cross-correlation with zero "same" padding over (T, F) grids.
 
-    x: (T, F, C_in), w: (k, k, C_in, C_out) with odd k, b: (C_out,).
-    Spatial dims are preserved. Implemented as k*k shifted matmuls: the
-    forward takes each shift's product over the padded width, whose input
-    is one contiguous row range of the flattened padded input (a spare
-    zero row keeps the last range in bounds), and adds its valid columns.
+    x: (..., T, F, C_in), one grid or a stack of them; w: (k, k, C_in, C_out)
+    with odd k, b: (C_out,). Spatial dims are preserved and every grid is
+    convolved on its own. Implemented as k*k shifted matmuls: the forward
+    takes each shift's product over the padded width, whose input is one
+    contiguous row range of each flattened padded grid (a spare zero row
+    keeps the last range in bounds), and adds its valid columns. A stack
+    runs each shift as one stacked matmul, one matrix per grid, so every
+    grid's output is bitwise that of the grid alone; the weight gradient is
+    one product over the rows of every grid.
     """
-    if x.ndim != 3 or w.ndim != 4:
-        raise DimensionError(f"conv2d expects 3-D input and 4-D kernel: {x.shape}, {w.shape}")
-    t, f, c_in = x.shape
+    if x.ndim < 3 or w.ndim != 4:
+        raise DimensionError(f"conv2d expects (..., T, F, C) input and 4-D kernel: "
+                             f"{x.shape}, {w.shape}")
+    lead = x.shape[:-3]
+    t, f, c_in = x.shape[-3:]
     k, k2, wc_in, c_out = w.shape
     if k != k2 or k % 2 == 0:
         raise DimensionError(f"conv2d kernel must be square with odd size, got {w.shape[:2]}")
@@ -374,34 +388,35 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"conv2d channel mismatch: input {c_in}, kernel {wc_in}")
     if b.shape != (c_out,):
         raise DimensionError(f"conv2d bias shape {b.shape} != ({c_out},)")
-    flopcount.add(t * f * c_out * (2 * k * k * c_in + 1))
+    flopcount.add(math.prod(lead) * t * f * c_out * (2 * k * k * c_in + 1))
     pad = k // 2
     width = f + k - 1
-    xp = np.zeros((t + k, width, c_in), dtype=x.data.dtype)
-    xp[pad : pad + t, pad : pad + f] = x.data
-    rows = xp.reshape(-1, c_in)
-    prod = np.empty((t, width, c_out), dtype=x.data.dtype)
-    prod_rows = prod.reshape(t * width, c_out)
-    acc = np.tile(b.data, (t, f, 1))
+    xp = np.zeros(lead + (t + k, width, c_in), dtype=x.data.dtype)
+    xp[..., pad : pad + t, pad : pad + f, :] = x.data
+    rows = xp.reshape(lead + (-1, c_in))
+    prod = np.empty(lead + (t, width, c_out), dtype=x.data.dtype)
+    prod_rows = prod.reshape(lead + (t * width, c_out))
+    acc = np.tile(b.data, lead + (t, f, 1))
     wd = w.data
     for di in range(k):
         for dj in range(k):
             start = di * width + dj
-            np.matmul(rows[start : start + t * width], wd[di, dj], out=prod_rows)
-            acc += prod[:, :f]
+            np.matmul(rows[..., start : start + t * width, :], wd[di, dj], out=prod_rows)
+            acc += prod[..., :f, :]
     out = Tensor(acc)
+    x_shape = x.shape
 
     def grad_fn(g):
-        g2 = g.reshape(t * f, c_out)
+        g2 = g.reshape(-1, c_out)
         gw = np.zeros_like(wd)
         gxp = np.zeros_like(xp)
         for di in range(k):
             for dj in range(k):
-                patch = xp[di : di + t, dj : dj + f].reshape(t * f, c_in)
+                patch = xp[..., di : di + t, dj : dj + f, :].reshape(-1, c_in)
                 gw[di, dj] = patch.T @ g2
-                gxp[di : di + t, dj : dj + f] += (g2 @ wd[di, dj].T).reshape(t, f, c_in)
-        gx = np.ascontiguousarray(gxp[pad : pad + t, pad : pad + f])
-        gb = g.sum(axis=(0, 1))
+                gxp[..., di : di + t, dj : dj + f, :] += (g2 @ wd[di, dj].T).reshape(x_shape)
+        gx = np.ascontiguousarray(gxp[..., pad : pad + t, pad : pad + f, :])
+        gb = g.sum(axis=tuple(range(g.ndim - 1)))
         return gx, gw, gb
 
     return _record(out, (x, w, b), grad_fn)

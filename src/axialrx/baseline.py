@@ -8,6 +8,10 @@ held constant outside them. Equalization is per-RE maximum-ratio MMSE
 combining across antennas. Both a max-log and an exact log-MAP demapper
 are provided; both receivers here, LS-LMMSE and the perfect-CSI reference,
 demap with max-log, and the exact one is the oracle that checks it.
+
+Every function takes one (T, F, N_rx) grid or a stack of them along
+leading block axes, (..., T, F, N_rx), and treats each grid on its own. A
+stack shares one noise power, so one Wiener filter serves all of it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from .phy import Constellation, PilotPattern
 def ls_estimate(y: np.ndarray, pilots: PilotPattern) -> np.ndarray:
     """Per-antenna LS estimates at the pilot symbols: y / x.
 
-    Returns (P, F, N_rx) for P pilot symbols. With unit-modulus pilots the
-    estimation error variance equals the noise power.
+    Returns (..., P, F, N_rx) for P pilot symbols. With unit-modulus pilots
+    the estimation error variance equals the noise power.
     """
     idx = list(pilots.symbol_indices)
-    return y[idx] / pilots.values[..., None]
+    return y[..., idx, :, :] / pilots.values[..., None]
 
 
 def _uniform_pdp_correlation(f: int, subcarrier_spacing_hz: float,
@@ -46,13 +50,14 @@ def lmmse_interpolate(pilot_estimates: np.ndarray, pilots: PilotPattern, t: int,
                       n0: float) -> np.ndarray:
     """Separable Wiener-in-frequency, linear-in-time interpolation.
 
-    Returns the (T, F, N_rx) complex channel estimate.
+    Returns the (..., T, F, N_rx) complex channel estimate of
+    (..., P, F, N_rx) pilot estimates.
 
     The frequency filter is W = R (R + N0 I)^{-1} with the uniform-PDP
     correlation R; regularization by N0 (floored away from zero) keeps the
     solve well-posed for any input.
     """
-    p, f, n_rx = pilot_estimates.shape
+    p, f, n_rx = pilot_estimates.shape[-3:]
     if p == 0:
         raise ValueError("need at least one pilot symbol")
     reg = max(n0, 1e-12)
@@ -60,7 +65,7 @@ def lmmse_interpolate(pilot_estimates: np.ndarray, pilots: PilotPattern, t: int,
     a = corr + reg * np.eye(f)
     # W = R A^{-1}; A and R are Hermitian, so W = (A^{-1} R)^H
     w = np.linalg.solve(a, corr).conj().T
-    filtered = np.einsum("kf,pfr->pkr", w, pilot_estimates)
+    filtered = np.einsum("kf,...pfr->...pkr", w, pilot_estimates)
 
     # time direction: linear between pilot symbols, constant outside
     if p == 1:
@@ -73,7 +78,7 @@ def lmmse_interpolate(pilot_estimates: np.ndarray, pilots: PilotPattern, t: int,
         weights = np.zeros((t, p))
         weights[n, j] = 1.0 - frac
         weights[n, j + 1] = frac
-    return np.einsum("tp,pkr->tkr", weights, filtered)
+    return np.einsum("tp,...pkr->...tkr", weights, filtered)
 
 
 def mmse_equalize(y: np.ndarray, h: np.ndarray, n0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +136,7 @@ def lmmse_receive(y: np.ndarray, pilots: PilotPattern, constellation: Constellat
                   n0: float, subcarrier_spacing_hz: float,
                   assumed_delay_spread_s: float) -> np.ndarray:
     """Full classical chain: LS -> Wiener/linear interpolation -> MMSE -> max-log."""
-    t = y.shape[0]
+    t = y.shape[-3]
     h_hat = lmmse_interpolate(ls_estimate(y, pilots), pilots, t,
                               subcarrier_spacing_hz, assumed_delay_spread_s, n0)
     x_hat, nu = mmse_equalize(y, h_hat, n0)

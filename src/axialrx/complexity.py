@@ -85,7 +85,7 @@ def analytic_layer_flops(cfg: ReceiverConfig) -> dict[str, int]:
     """
     t, f = cfg.t, cfg.f
     c_in = cfg.input_channels
-    width = cfg.resnet_channels if cfg.variant == "cnn-resnet" else cfg.d
+    width = cfg.width
     layers: dict[str, int] = {
         "input_conv": t * f * width * (2 * cfg.kernel * cfg.kernel * c_in + 1)
     }

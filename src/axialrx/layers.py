@@ -6,12 +6,15 @@ power), an additive learned positional encoding for the transformer
 variants, a stack of blocks, and a 1x1 convolutional output projection
 to one LLR per coded bit.
 
-Attention operates on batches of independent sequences. Axial blocks run
-time-axis attention (one sequence per subcarrier) then frequency-axis
-attention (one per OFDM symbol), each with its own Q/K/V/O projections;
-the global variant flattens the grid into a single length-T*F sequence.
-Blocks are pre-normalized with a residual connection around every
-sub-operation and a position-wise ReLU feed-forward at the end.
+Every op takes one (T, F, C) grid or a stack of grids along a leading
+block axis, (B, T, F, C), and treats each grid on its own; evaluation
+receives stacks, training single grids. Attention operates on batches of
+independent sequences. Axial blocks run time-axis attention (one
+sequence per subcarrier) then frequency-axis attention (one per OFDM
+symbol), each with its own Q/K/V/O projections; the global variant
+flattens each grid into a single length-T*F sequence. Blocks are
+pre-normalized with a residual connection around every sub-operation and
+a position-wise ReLU feed-forward at the end.
 """
 
 from __future__ import annotations
@@ -77,18 +80,23 @@ class ReceiverConfig:
     def input_channels(self) -> int:
         return 2 * self.n_rx + 1
 
+    @property
+    def width(self) -> int:
+        """Channels per position between the input and output convolutions."""
+        return self.resnet_channels if self.variant == "cnn-resnet" else self.d
+
 
 def _he_normal(rng: np.random.Generator, shape, fan_in: int) -> Tensor:
     return Tensor(rng.standard_normal(shape) * math.sqrt(2.0 / fan_in), requires_grad=True)
 
 
 def input_features(y: np.ndarray, n0: float) -> Tensor:
-    """Stack [Re(Y), Im(Y), log10(N0)] into a (T, F, 2*N_rx+1) tensor."""
+    """Stack [Re(Y), Im(Y), log10(N0)] of y (..., T, F, N_rx) into a
+    (..., T, F, 2*N_rx+1) tensor."""
     if n0 <= 0.0:
         raise ValueError(f"noise power must be positive, got {n0}")
-    t, f, _ = y.shape
     planes = np.concatenate(
-        [y.real, y.imag, np.full((t, f, 1), math.log10(n0))], axis=-1)
+        [y.real, y.imag, np.full(y.shape[:-1] + (1,), math.log10(n0))], axis=-1)
     return Tensor(planes)
 
 
@@ -143,7 +151,8 @@ def _row_max(p: np.ndarray) -> np.ndarray:
 def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     """Multi-head scaled dot-product attention over S sequences as one node.
 
-    x: (S, L, D) of S sequences. Per head, softmax(Q K^T / sqrt(d_h)) V; the
+    x: (..., L, D) of S sequences, S the product of the leading dims; the
+    output has x's shape. Per head, softmax(Q K^T / sqrt(d_h)) V; the
     heads are concatenated and projected by wo. The op scales the scores by
     1/sqrt(d_h) in place, charging one FLOP per score.
 
@@ -184,10 +193,12 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     which repeats the composition's additions, signed zeros included.
     """
     wq, wk, wv, wo, heads = w.wq, w.wk, w.wv, w.wo, w.heads
-    if x.ndim != 3 or any(m.shape != (x.shape[2],) * 2 for m in (wq, wk, wv, wo)):
-        raise DimensionError(f"attention needs (S, L, D) input and (D, D) projections: "
+    if x.ndim < 2 or any(m.shape != (x.shape[-1],) * 2 for m in (wq, wk, wv, wo)):
+        raise DimensionError(f"attention needs (..., L, D) input and (D, D) projections: "
                              f"{x.shape}, {[m.shape for m in (wq, wk, wv, wo)]}")
-    s, length, d = x.shape
+    xshape = x.shape
+    length, d = xshape[-2:]
+    s = math.prod(xshape[:-2])
     if heads < 1 or d % heads != 0:
         raise DimensionError(f"embedding dim {d} not divisible by {heads} heads")
     dh = d // heads
@@ -240,7 +251,7 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     kept = p if len(groups) == 1 and len(blocks) == 1 else None
     merged = merged.reshape(s * length, d)
     flopcount.add(2 * s * length * d * d)
-    out = Tensor((merged @ wo.data).reshape(s, length, d))
+    out = Tensor((merged @ wo.data).reshape(xshape))
     wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
 
     def chunk_grads(p, g, qc, ktc, vc, gs, gx):
@@ -283,29 +294,30 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
         gk2 = flat(gkt.transpose(0, 3, 1, 2))
         gv2 = flat(gv.transpose(0, 2, 1, 3))
         gx = (gv2 @ wvd.T + gk2 @ wkd.T) + gq2 @ wqd.T
-        return (gx.reshape(s, length, d), x2.T @ gq2, x2.T @ gk2, x2.T @ gv2,
+        return (gx.reshape(xshape), x2.T @ gq2, x2.T @ gk2, x2.T @ gv2,
                 merged.T @ g2)
 
     return _record(out, (x, wq, wk, wv, wo), grad_fn)
 
 
 def axial_time_attention(x: Tensor, w: AttentionWeights) -> Tensor:
-    """Attention along the time axis, independently per subcarrier."""
-    columns = transpose(x, (1, 0, 2))  # (F, T, D)
-    out = attend(columns, w)
-    return transpose(out, (1, 0, 2))
+    """Attention along the time axis of x (..., T, F, D), independently per
+    subcarrier (and grid)."""
+    axes = tuple(range(x.ndim - 3)) + (x.ndim - 2, x.ndim - 3, x.ndim - 1)
+    out = attend(transpose(x, axes), w)  # (..., F, T, D)
+    return transpose(out, axes)
 
 
 def axial_freq_attention(x: Tensor, w: AttentionWeights) -> Tensor:
     """Attention along the frequency axis, independently per OFDM symbol."""
-    return attend(x, w)  # (T, F, D) is already T sequences
+    return attend(x, w)  # (..., T, F, D) is already T sequences per grid
 
 
 def global_mhsa(x: Tensor, w: AttentionWeights) -> Tensor:
-    """Attention over the flattened length-T*F sequence."""
-    t, f, d = x.shape
-    flat = reshape(x, (1, t * f, d))
-    return reshape(attend(flat, w), (t, f, d))
+    """Attention over each grid's flattened length-T*F sequence."""
+    t, f, d = x.shape[-3:]
+    flat = reshape(x, x.shape[:-3] + (1, t * f, d))  # one (1, T*F, D) sequence per grid
+    return reshape(attend(flat, w), x.shape)
 
 
 class LayerNormParams:
@@ -440,7 +452,7 @@ class Receiver:
     def __init__(self, cfg: ReceiverConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
-        width = cfg.resnet_channels if cfg.variant == "cnn-resnet" else cfg.d
+        width = cfg.width
         self.input_conv = ConvLayer(cfg.kernel, cfg.input_channels, width, rng)
         if cfg.variant == "cnn-resnet":
             self.pos = None
@@ -453,15 +465,19 @@ class Receiver:
         self.output_conv = ConvLayer(1, width, cfg.bits_per_symbol, rng, zero_init=True)
 
     def forward(self, grid) -> Tensor:
-        """grid provides `.y` (T, F, N_rx complex) and `.n0`.
+        """grid provides `.y` and `.n0`: one (T, F, N_rx) complex grid, or a
+        (B, T, F, N_rx) stack of B grids that share n0.
 
-        The features are cast to the parameters' dtype, so the forward runs
-        in float32 when the parameters are float32.
+        LLRs come out as (T, F, bps) or (B, T, F, bps). A stack runs every
+        op once over all its grids, and each grid's LLRs are bitwise those
+        of its own forward. The features are cast to the parameters' dtype,
+        so the forward runs in float32 when the parameters are float32.
         """
         y, n0 = grid.y, grid.n0
-        if y.shape != (self.cfg.t, self.cfg.f, self.cfg.n_rx):
-            raise ValueError(f"grid shape {y.shape} does not match configured "
-                             f"({self.cfg.t}, {self.cfg.f}, {self.cfg.n_rx})")
+        trailing = (self.cfg.t, self.cfg.f, self.cfg.n_rx)
+        if y.ndim not in (3, 4) or y.shape[-3:] != trailing:
+            raise ValueError(f"grid shape {y.shape} does not end in the configured "
+                             f"(T, F, N_rx) = {trailing}")
         with flopcount.bucket("input_conv"):
             features = input_features(y, n0).data.astype(self.input_conv.w.data.dtype,
                                                           copy=False)

@@ -122,16 +122,36 @@ class LinkConfig:
 
 @dataclass
 class ResourceGrid:
-    """One received grid plus the ground truth needed for training."""
+    """One received grid plus the ground truth needed for training, or a
+    stack of grids along a leading block axis of `y` and `bits` that share
+    one pilot mask and noise power (see `stack_grids`)."""
 
-    y: np.ndarray  # (T, F, N_rx) complex received samples
-    bits: np.ndarray  # (T, F, bits_per_symbol) coded bits, zero at pilots
+    y: np.ndarray  # (..., T, F, N_rx) complex received samples
+    bits: np.ndarray  # (..., T, F, bits_per_symbol) coded bits, zero at pilots
     pilot_mask: np.ndarray  # (T, F) bool
     n0: float
 
     @property
     def data_mask(self) -> np.ndarray:
         return ~self.pilot_mask
+
+    def __getitem__(self, blocks) -> "ResourceGrid":
+        """The grids at `blocks` of a stack's block axis (views, not copies)."""
+        return ResourceGrid(y=self.y[blocks], bits=self.bits[blocks],
+                            pilot_mask=self.pilot_mask, n0=self.n0)
+
+
+def stack_grids(grids: list[ResourceGrid]) -> ResourceGrid:
+    """One (B, T, F, ...) stack of B grids of one SNR point.
+
+    Every grid must share the first one's noise power and pilot mask.
+    """
+    first = grids[0]
+    for grid in grids[1:]:
+        if grid.n0 != first.n0 or not np.array_equal(grid.pilot_mask, first.pilot_mask):
+            raise ValueError("stacked grids must share one noise power and pilot mask")
+    return ResourceGrid(y=np.stack([g.y for g in grids]), bits=np.stack([g.bits for g in grids]),
+                        pilot_mask=first.pilot_mask, n0=first.n0)
 
 
 def map_bits(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -168,8 +188,10 @@ def bits_to_grid(bits: np.ndarray, pilot_mask: np.ndarray, bits_per_symbol: int)
 
 
 def grid_to_bits(grid: np.ndarray, pilot_mask: np.ndarray) -> np.ndarray:
-    """Gather data-position values back into the flat raster-order array."""
-    return np.asarray(grid)[~pilot_mask].reshape(-1)
+    """Gather data-position values of a (..., T, F, bps) grid back into
+    flat raster-order arrays, (..., n)."""
+    grid = np.asarray(grid)
+    return grid[..., ~pilot_mask, :].reshape(grid.shape[:-3] + (-1,))
 
 
 def apply_channel(x: np.ndarray, h: np.ndarray, n0: float, rng: np.random.Generator) -> np.ndarray:

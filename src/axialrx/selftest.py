@@ -8,6 +8,7 @@ fault (e.g. a broken softmax) is actually exercised.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -162,6 +163,25 @@ def check_degenerate_equivalence() -> tuple[str, bool, str]:
     return ("axial/global degenerate equivalence", worst < 1e-10, f"max diff {worst:.2e}")
 
 
+def check_stacked_forward() -> tuple[str, bool, str]:
+    """A forward of a stack of 3 tiny grids gives each grid its own forward's
+    LLRs, for every variant: an op that mixes the block axis with a grid
+    axis changes a stacked forward but no single-grid one."""
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal((3, 4, 3, 1)) + 1j * rng.standard_normal((3, 4, 3, 1))
+    worst = 0.0
+    for variant in layers.VARIANTS:
+        cfg = layers.ReceiverConfig(variant=variant, t=4, f=3, n_rx=1, d=4, heads=2,
+                                    n_blocks=1, bits_per_symbol=2, resnet_units=1,
+                                    resnet_channels=4)
+        model = layers.Receiver(cfg, seed=9)
+        model.output_conv.w.data = rng.standard_normal(model.output_conv.w.shape)
+        stacked = model.forward(SimpleNamespace(y=y, n0=0.5)).data
+        single = [model.forward(SimpleNamespace(y=y[b], n0=0.5)).data for b in range(3)]
+        worst = max(worst, float(np.abs(stacked - np.stack(single)).max()))
+    return ("stacked forward equals single grids", worst < 1e-12, f"max diff {worst:.2e}")
+
+
 def check_demapper() -> tuple[str, bool, str]:
     from .phy import Constellation
 
@@ -220,6 +240,7 @@ ALL_CHECKS = (
     check_bce_gradients,
     check_softmax_rows,
     check_degenerate_equivalence,
+    check_stacked_forward,
     check_demapper,
     check_ldpc,
     check_flops,

@@ -9,9 +9,10 @@ which the tape records as one op.
 Every random draw derives from the master seed through a SeedSequence
 keyed by (seed, stream, index), so training traces, checkpoints, and
 evaluation results are bitwise reproducible. Evaluation runs serially in
-the calling process: it samples and receives each chunk of blocks, then
-decodes the LLRs of every block and receiver in the chunk in one batched
-min-sum call.
+the calling process: it samples each chunk of blocks one by one, stacks
+their grids along a leading block axis, calls every receiver once on the
+stack, then decodes the LLRs of every block and receiver in the chunk in
+one batched min-sum call.
 """
 
 from __future__ import annotations
@@ -34,7 +35,18 @@ EVAL_STREAM = 202
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-EVAL_CHUNK_BLOCKS = 32  # blocks per batched decode; the early-stop granularity
+EVAL_CHUNK_BLOCKS = 32  # blocks per stack and batched decode; the early-stop granularity
+# Cap on the elements one receiver call holds per slice of a stack: T*F*width
+# per block, width being the neural embedding (d or resnet_channels) or the
+# constellation order. At desk dims (T=14, F=24) axial and global get 6 grids
+# per forward, cnn-resnet 1 and the classical receivers a whole chunk; at
+# paper dims every receiver gets 1. Measured on a 32-block desk chunk (2-vCPU
+# Xeon, one BLAS thread, medians of 12 alternating repetitions, ms per block)
+# at caps 2^13..2^19: axial 2.52 2.61 2.11 1.97 2.02 2.43 2.85, global 5.11
+# 5.12 4.76 4.66 4.43 4.73 4.85, LS-LMMSE 0.13 falling to 0.07 from 2^16 on.
+# Axial and global are flat from 2^15 to 2^17; a 2-grid cnn-resnet forward
+# (2^17) read 52.7 against 44.3 ms for one grid.
+STACK_ELEMENTS = 1 << 16
 
 
 class TrainingDiverged(RuntimeError):
@@ -246,7 +258,30 @@ def train(model: Receiver, sim: LinkSimulator, cfg: TrainConfig,
     return TrainResult(trace=trace)
 
 
+# receive(grid, meta) -> LLRs. `grid` is one grid or a stack of grids of one
+# SNR point (`phy.stack_grids`): `grid.y` and `meta["h"]` are (..., T, F, N_rx)
+# with an optional leading block axis, `grid.n0` one float. The LLRs are
+# (..., T, F, bps), and each block's are bitwise those of its own call.
 ReceiverFn = Callable[[phy.ResourceGrid, dict], np.ndarray]
+
+
+def stack_slices(blocks: int, block_elements: int) -> list[slice]:
+    """Consecutive slices that cover range(blocks) in order, each holding at
+    most STACK_ELEMENTS // block_elements blocks and always at least one."""
+    step = max(1, STACK_ELEMENTS // block_elements)
+    return [slice(i, min(i + step, blocks)) for i in range(0, blocks, step)]
+
+
+def _in_slices(receive: Callable[[object], np.ndarray], grid: phy.ResourceGrid,
+               width: int) -> np.ndarray:
+    """receive(key) on each `stack_slices` key of a stack's block axis, for
+    T*F*width elements per block, joined along that axis; receive(...) once
+    for a single grid."""
+    if grid.y.ndim == 3:
+        return receive(...)
+    keys = stack_slices(grid.y.shape[0], grid.pilot_mask.size * width)
+    parts = [receive(key) for key in keys]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def neural_receiver(model: Receiver) -> ReceiverFn:
@@ -256,13 +291,16 @@ def neural_receiver(model: Receiver) -> ReceiverFn:
     so every forward and its LLRs are float32; `model` keeps its float64
     parameters untouched. Training `model` or calling its `load_state`
     afterwards does not reach this receiver: call again for a new snapshot.
+    A stack runs in forwards of `stack_slices` blocks, each one untaped
+    forward over its slice's grids.
     """
     snapshot = copy.deepcopy(model)
     for tensor in snapshot.named_parameters().values():
         tensor.data = tensor.data.astype(np.float32)
+    width = model.cfg.width
 
     def run(grid: phy.ResourceGrid, meta: dict) -> np.ndarray:
-        return snapshot.forward(grid).data
+        return _in_slices(lambda key: snapshot.forward(grid[key]).data, grid, width)
 
     return run
 
@@ -276,8 +314,9 @@ def lmmse_receiver(link: phy.LinkConfig) -> ReceiverFn:
     assumed = 0.5 * (link.delay_spread_s[0] + link.delay_spread_s[1])
 
     def run(grid: phy.ResourceGrid, meta: dict) -> np.ndarray:
-        return lmmse_receive(grid.y, pilots, constellation, grid.n0,
-                             link.subcarrier_spacing_hz, assumed)
+        return _in_slices(lambda key: lmmse_receive(grid.y[key], pilots, constellation, grid.n0,
+                                                    link.subcarrier_spacing_hz, assumed),
+                          grid, constellation.order)
 
     return run
 
@@ -288,9 +327,42 @@ def perfect_csi_receiver(link: phy.LinkConfig) -> ReceiverFn:
     constellation = link.constellation()
 
     def run(grid: phy.ResourceGrid, meta: dict) -> np.ndarray:
-        return perfect_csi_receive(grid.y, meta["h"], grid.n0, constellation)
+        return _in_slices(lambda key: perfect_csi_receive(grid.y[key], meta["h"][key], grid.n0,
+                                                          constellation),
+                          grid, constellation.order)
 
     return run
+
+
+def _receive_chunk(receivers: dict[str, ReceiverFn], sim: LinkSimulator, entropies: list,
+                   snr_db: float, velocity_range: tuple[float, float]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one chunk's blocks and call every receiver once on the stack
+    of their grids, which must come back as (blocks, T, F, bps) LLRs.
+
+    Returns the (blocks, k) info bits and the (blocks * receivers, n) LLR
+    rows, block-major and receiver-minor. The per-block grids are dropped
+    once stacked, and the stack dies with this call, so neither is held
+    through the forwards or the decode: at paper dims that kept the peak of
+    a 32-block, five-receiver chunk within 1 MB of one receiving a block at
+    a time, where holding both read 18 MB above it.
+    """
+    samples = [sim.sample(entropy, snr_db=snr_db, velocity_range=velocity_range)
+               for entropy in entropies]
+    infos = np.stack([info for _, info, _ in samples])
+    grid = phy.stack_grids([g for g, _, _ in samples])
+    meta = {"h": np.stack([m["h"] for _, _, m in samples])}
+    del samples
+    link = sim.link
+    want = (len(infos), link.t, link.f, link.bits_per_symbol)
+    llrs = []
+    for name, receive in receivers.items():
+        llr = receive(grid, meta)
+        if np.shape(llr) != want:
+            raise ValueError(f"receiver {name!r} returned LLRs of shape {np.shape(llr)}, "
+                             f"expected {want}")
+        llrs.append(phy.grid_to_bits(llr, grid.pilot_mask))
+    return infos, np.stack(llrs, axis=1).reshape(len(infos) * len(llrs), -1)
 
 
 def evaluate(receivers: dict[str, ReceiverFn], sim: LinkSimulator,
@@ -300,6 +372,9 @@ def evaluate(receivers: dict[str, ReceiverFn], sim: LinkSimulator,
     Blocks accumulate until every receiver reaches the target error count
     or the block budget runs out; the early-stop check runs after each
     chunk of `EVAL_CHUNK_BLOCKS` blocks, so every point runs at least one.
+    Each receiver is called once per chunk, on the stack of its grids, and
+    must return (blocks, T, F, bps) LLRs; any other shape raises
+    ValueError.
     """
     code = sim.code
     names = list(receivers)
@@ -313,15 +388,11 @@ def evaluate(receivers: dict[str, ReceiverFn], sim: LinkSimulator,
             while blocks_done < cfg.max_blocks and \
                     not all(errors[name] >= cfg.target_errors for name in names):
                 chunk_end = min(blocks_done + EVAL_CHUNK_BLOCKS, cfg.max_blocks)
-                infos, llrs = [], []
-                for block in range(blocks_done, chunk_end):
-                    grid, info, meta = sim.sample((cfg.seed, EVAL_STREAM, point_index, block),
-                                                  snr_db=snr_db, velocity_range=vel_range)
-                    infos.append(info)
-                    llrs.extend(phy.grid_to_bits(receivers[name](grid, meta), grid.pilot_mask)
-                                for name in names)
-                decoded = ldpc_mod.decode_info(code, np.stack(llrs))
-                wrong = decoded.reshape(len(infos), len(names), -1) != np.stack(infos)[:, None]
+                entropies = [(cfg.seed, EVAL_STREAM, point_index, block)
+                             for block in range(blocks_done, chunk_end)]
+                infos, llrs = _receive_chunk(receivers, sim, entropies, snr_db, vel_range)
+                decoded = ldpc_mod.decode_info(code, llrs)
+                wrong = decoded.reshape(len(infos), len(names), -1) != infos[:, None]
                 for name, count in zip(names, wrong.any(axis=2).sum(axis=0)):
                     errors[name] += int(count)
                 blocks_done = chunk_end

@@ -693,3 +693,19 @@ class TestSelftestCommand:
         monkeypatch.setattr(ad, "bce_with_logits", unmasked)
         assert main(["selftest"]) == EXIT_RUNTIME
         assert "[FAIL] BCE gradient" in capsys.readouterr().out
+
+    def test_block_axis_mixed_into_time_attention_detected(self, monkeypatch, capsys):
+        """A time attention that swaps axes 0 and 1 is right on one grid but
+        swaps the block and time axes of a stack; selftest catches it."""
+        import axialrx.layers as layers_mod
+        from axialrx.autodiff import transpose
+
+        def swapped(x, w):
+            axes = (1, 0) + tuple(range(2, x.ndim))
+            return transpose(layers_mod.attend(transpose(x, axes), w), axes)
+
+        monkeypatch.setattr(layers_mod, "axial_time_attention", swapped)
+        assert main(["selftest"]) == EXIT_RUNTIME
+        out = capsys.readouterr().out
+        assert "[FAIL] stacked forward equals single grids" in out
+        assert out.count("[FAIL]") == 1

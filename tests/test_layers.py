@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axialrx.layers as layers_mod
-from axialrx import selftest
+from axialrx import flopcount, selftest
 from axialrx.autodiff import (
     DimensionError,
     Tape,
     Tensor,
     backward,
     bmm,
+    conv2d,
     layer_norm,
     mean_all,
     scale,
@@ -399,8 +400,14 @@ class TestReceiver:
         cfg = ReceiverConfig(variant="axial", t=4, f=5, n_rx=1, d=8, heads=2, n_blocks=0,
                              bits_per_symbol=2)
         model = Receiver(cfg, seed=3)
-        with pytest.raises(ValueError):
-            model(random_grid(np.random.default_rng(3), 5, 4, 1))
+        rng = np.random.default_rng(3)
+        expected = r"\(2, 5, 4, 1\) does not end in the configured \(T, F, N_rx\) = \(4, 5, 1\)"
+        with pytest.raises(ValueError, match=r"\(5, 4, 1\) does not end in .* \(4, 5, 1\)"):
+            model(random_grid(rng, 5, 4, 1))
+        with pytest.raises(ValueError, match=expected):
+            model(FakeGrid(np.zeros((2, 5, 4, 1), dtype=complex), 0.5))
+        with pytest.raises(ValueError, match=r"\(1, 2, 4, 5, 1\) does not end"):
+            model(FakeGrid(np.zeros((1, 2, 4, 5, 1), dtype=complex), 0.5))
 
     def test_output_projection_zero_weights_max_uncertainty(self):
         cfg = ReceiverConfig(variant="axial", t=3, f=4, n_rx=1, d=8, heads=2, n_blocks=1,
@@ -463,6 +470,76 @@ class TestReceiver:
             bad = dict(state)
             bad["pos"] = np.zeros((1, 1, 1))
             Receiver(cfg, seed=11).load_state(bad)
+
+
+TINY_STACK_CONFIGS = {
+    "axial": dict(variant="axial", d=8, heads=2, n_blocks=1),
+    "global": dict(variant="global", d=8, heads=2, n_blocks=1),
+    "cnn-resnet": dict(variant="cnn-resnet", resnet_units=1, resnet_channels=6),
+}
+
+
+def stacked_grid(rng, blocks, t, f, n_rx, n0=0.5):
+    shape = (blocks, t, f, n_rx)
+    return FakeGrid(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), n0)
+
+
+class TestStackedForward:
+    """A (B, T, F, N_rx) stack runs each op once over all B grids and gives
+    every grid the bits, and charges it the FLOPs, of its own forward."""
+
+    @pytest.mark.parametrize("variant", list(TINY_STACK_CONFIGS))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stack_equals_single_grids(self, variant, dtype):
+        cfg = ReceiverConfig(t=5, f=6, n_rx=2, bits_per_symbol=2, **TINY_STACK_CONFIGS[variant])
+        model = Receiver(cfg, seed=30)
+        randomize_output_head(model, seed=31)
+        for tensor in model.named_parameters().values():
+            tensor.data = tensor.data.astype(dtype)
+        stack = stacked_grid(np.random.default_rng(32), 4, 5, 6, 2)
+        with flopcount.FlopCounter() as stacked_count:
+            out = model(stack).data
+        assert out.shape == (4, 5, 6, 2) and out.dtype == dtype
+        for b in range(4):
+            with flopcount.FlopCounter() as single_count:
+                single = model(FakeGrid(stack.y[b], stack.n0)).data
+            assert single.shape == (5, 6, 2)
+            assert out[b].tobytes() == single.tobytes()
+        assert {k: 4 * v for k, v in single_count.buckets.items()} == stacked_count.buckets
+
+    def test_stack_gradients(self):
+        """Finite differences of conv2d, the positional add and the attention op
+        on a stack of 2 tiny grids: every grid's gradient flows to the shared
+        parameters, the encoding's summed over the block axis."""
+        rng = np.random.default_rng(33)
+        x = Tensor(rng.standard_normal((2, 3, 4, 2)), requires_grad=True)
+        cw = Tensor(rng.standard_normal((3, 3, 2, 4)) * 0.5, requires_grad=True)
+        cb = Tensor(rng.standard_normal(4), requires_grad=True)
+        pos = Tensor(rng.standard_normal((3, 4, 4)), requires_grad=True)
+        w = AttentionWeights(4, 2, rng)
+        r = Tensor(rng.standard_normal((2, 3, 4, 4)))
+
+        def loss():
+            h = conv2d(x, cw, cb) + pos
+            return sum_all((axial_time_attention(h, w) + global_mhsa(h, w)) * r)
+
+        gradcheck(loss, [x, cw, cb, pos, w.wq, w.wk, w.wv, w.wo])
+
+    def test_stack_gradient_of_encoding_sums_over_blocks(self):
+        rng = np.random.default_rng(34)
+        x = Tensor(rng.standard_normal((3, 2, 4, 5)))
+        p = Tensor(rng.standard_normal((2, 4, 5)), requires_grad=True)
+        g = rng.standard_normal((3, 2, 4, 5))
+        with Tape() as tape:
+            loss = sum_all((x + p) * Tensor(g))
+        assert len(tape.nodes) == 3
+        np.testing.assert_array_equal(backward(loss, tape, leaves=[p])[p], g.sum(axis=0))
+
+    def test_add_rejects_non_trailing_shape(self):
+        with pytest.raises(DimensionError):
+            Tensor(np.zeros((2, 3, 4))) + Tensor(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            Tensor(np.zeros((3, 4))) + Tensor(np.zeros((2, 3, 4)))
 
 
 def randomize_output_head(model: Receiver, seed: int) -> None:

@@ -14,6 +14,7 @@ from axialrx.phy import (
     make_grid,
     map_bits,
     snr_to_n0,
+    stack_grids,
 )
 
 
@@ -207,3 +208,30 @@ class TestMakeGrid:
         pilots = PilotPattern.make((2, 20), 8, seed=0)
         with pytest.raises(ValueError):
             pilots.mask(14, 8)
+
+
+class TestStackGrids:
+    def grids(self, n0s):
+        cfg = desk_cfg(n_rx=2)
+        rng = np.random.default_rng(10)
+        out = []
+        for n0 in n0s:
+            h = rng.standard_normal((cfg.t, cfg.f, cfg.n_rx)) + 0j
+            out.append(make_grid(rng.integers(0, 2, cfg.n_coded_bits), cfg, h, n0, rng))
+        return out
+
+    def test_stack_slices_back_and_gathers_per_block(self):
+        grids = self.grids([0.5] * 3)
+        stack = stack_grids(grids)
+        assert stack.y.shape == (3, 14, 24, 2) and stack.bits.shape == (3, 14, 24, 2)
+        assert stack.pilot_mask.shape == (14, 24) and stack.n0 == 0.5
+        flat = grid_to_bits(stack.bits, stack.pilot_mask)
+        assert flat.shape == (3, 2 * 12 * 24)
+        for b, grid in enumerate(grids):
+            np.testing.assert_array_equal(stack[b].y, grid.y)
+            np.testing.assert_array_equal(flat[b], grid_to_bits(grid.bits, grid.pilot_mask))
+        assert stack[1:3].y.shape == (2, 14, 24, 2)
+
+    def test_rejects_mixed_noise_power(self):
+        with pytest.raises(ValueError, match="noise power"):
+            stack_grids(self.grids([0.5, 0.25]))

@@ -1,11 +1,14 @@
 """BCE loss, Adam, the training loop, and the paired evaluation sweep."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axialrx import channel, ldpc, phy, trainer
 from axialrx.autodiff import Tape, Tensor, backward, scale
@@ -306,6 +309,58 @@ class TestNeuralReceiver:
         assert neural_receiver(model)(grid, meta).tobytes() != llr.tobytes()
 
 
+@pytest.fixture(scope="module")
+def desk_stack():
+    """The desk link and 32 grids of one SNR point, one by one and stacked."""
+    from axialrx import cli
+
+    link = cli.link_from_config(cli.load_config(None, "desk"))
+    samples = [LinkSimulator(link).sample((2024, 12, b), snr_db=6.0) for b in range(32)]
+    grid = phy.stack_grids([g for g, _, _ in samples])
+    meta = {"h": np.stack([m["h"] for _, _, m in samples])}
+    return link, samples, grid, meta
+
+
+class TestStackedReceive:
+    """Every receiver takes a stack of grids in one call and gives each block
+    the bits of its own call."""
+
+    @pytest.mark.parametrize("name", ["ls-lmmse", "perfect-csi", "axial", "global",
+                                      "cnn-resnet"])
+    def test_stacks_equal_per_block_llrs(self, desk_stack, name):
+        link, samples, grid, meta = desk_stack
+        if name in ("ls-lmmse", "perfect-csi"):
+            receive = (lmmse_receiver if name == "ls-lmmse" else perfect_csi_receiver)(link)
+        else:
+            receive = neural_receiver(seeded_receiver("desk", name)[0])
+        single = [receive(g, m) for g, _, m in samples]
+        assert {llr.shape for llr in single} == {(link.t, link.f, link.bits_per_symbol)}
+        assert np.abs(single[0]).max() > 1.0
+        for blocks in (1, 5, 32):
+            stacked = receive(grid[:blocks], {"h": meta["h"][:blocks]})
+            assert stacked.shape == (blocks, link.t, link.f, link.bits_per_symbol)
+            assert stacked.tobytes() == np.stack(single[:blocks]).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=st.integers(1, 300), block_elements=st.integers(1, 1 << 18))
+    def test_slices_cover_every_block_once_within_the_cap(self, blocks, block_elements):
+        keys = trainer.stack_slices(blocks, block_elements)
+        assert [i for key in keys for i in range(blocks)[key]] == list(range(blocks))
+        for key in keys:
+            held = key.stop - key.start
+            assert held >= 1
+            assert held * block_elements <= trainer.STACK_ELEMENTS or held == 1
+
+    def test_desk_and_paper_slice_sizes(self):
+        """Desk axial/global forwards take 6 grids, cnn-resnet 1 and QPSK
+        receivers a whole chunk; at paper dims every receiver takes 1 grid."""
+        def size(t, f, width):
+            return trainer.stack_slices(trainer.EVAL_CHUNK_BLOCKS, t * f * width)[0].stop
+
+        assert [size(14, 24, w) for w in (32, 160, 4)] == [6, 1, trainer.EVAL_CHUNK_BLOCKS]
+        assert [size(14, 128, w) for w in (128, 160, 64)] == [1, 1, 1]
+
+
 def one_tape_train(model, sim, cfg):
     """Every grid of a step on one tape, summed first to last: the trace of `train`."""
     params = model.named_parameters()
@@ -440,6 +495,20 @@ class TestEvaluate:
         assert blocks == [4, 8, 11, 4, 4, 11]
         chunks = [4, 4, 4, 4, 4, 3, 4, 4, 4, 4, 3]
         assert calls == [(size * len(receivers), small_sim.code.n) for size in chunks]
+
+    @pytest.mark.parametrize("bad", ["flat", "one-block"])
+    def test_wrong_llr_shape_names_receiver_and_shapes(self, small_sim, bad):
+        lmmse = lmmse_receiver(SMALL_LINK)
+
+        def broken(grid, meta):
+            llr = lmmse(grid, meta)
+            return phy.grid_to_bits(llr, grid.pilot_mask) if bad == "flat" else llr[0]
+
+        cfg = EvalConfig(snr_points_db=(8.0,), tiers=("tdl-lo",), max_blocks=3,
+                         target_errors=100, seed=3)
+        got = "(3, 192)" if bad == "flat" else "(14, 8, 2)"
+        with pytest.raises(ValueError, match=rf"'broken'.*{re.escape(got)}.*\(3, 14, 8, 2\)"):
+            evaluate({"ls-lmmse": lmmse, "broken": broken}, small_sim, cfg)
 
     def test_monotonicity_helper(self):
         series = [

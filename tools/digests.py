@@ -11,6 +11,9 @@ print identical lines, so `diff` of their outputs is the bitwise check:
   on one sampled grid at desk and at paper dims
 - `llr-eval <preset>/<variant>`: the float32 LLRs that
   `trainer.neural_receiver` gives on the same grid, for the same receivers
+- `llr-stack desk/<variant>`: the float32 LLRs that `trainer.neural_receiver`
+  gives on one stack of 8 seeded desk grids of one SNR point, as `evaluate`
+  passes them (printed last, so the lines above keep their order)
 - `grads <preset>/<variant>`: the BCE loss and every parameter gradient of
   one taped grid, for every desk variant and the paper axial receiver
 - `train checkpoint` and `train loss_trace`: the checkpoint and the loss
@@ -18,7 +21,7 @@ print identical lines, so `diff` of their outputs is the bitwise check:
 
 A fresh receiver's output convolution is zero, which would make every LLR
 and most gradients zero, so each receiver gets a seeded non-zero one.
-Peaks near 0.4 GB (the taped paper grid) and takes about six seconds on
+Peaks near 0.4 GB (the taped paper grid) and takes about seven seconds on
 one core.
 """
 
@@ -34,11 +37,14 @@ from pathlib import Path
 from axialrx import cli  # first: it pins BLAS to one thread before numpy loads
 from axialrx.autodiff import Tape, backward
 from axialrx.layers import VARIANTS, Receiver
+from axialrx.phy import stack_grids
 from axialrx.trainer import LinkSimulator, bce_loss, neural_receiver
 
 import numpy as np
 
 GRID_ENTROPY = (2024, 11)
+STACK_BLOCKS = 8
+STACK_SNR_DB = 6.0
 OUTPUT_CONV_SEED = 77
 
 
@@ -79,6 +85,17 @@ def grid_digests(preset: str, taped: tuple[str, ...]) -> list[tuple[str, str]]:
     return lines + evals
 
 
+def stack_digests() -> list[tuple[str, str]]:
+    config = cli.load_config(None, "desk")
+    sim = LinkSimulator(cli.link_from_config(config))
+    samples = [sim.sample(GRID_ENTROPY + (b,), snr_db=STACK_SNR_DB) for b in range(STACK_BLOCKS)]
+    grid = stack_grids([g for g, _, _ in samples])
+    meta = {"h": np.stack([m["h"] for _, _, m in samples])}
+    return [(f"llr-stack desk/{variant}",
+             sha256(neural_receiver(seeded_receiver(config, variant))(grid, meta).tobytes()))
+            for variant in VARIANTS]
+
+
 def train_digests() -> list[tuple[str, str]]:
     with tempfile.TemporaryDirectory() as tmp:
         ini = Path(tmp) / "train.ini"
@@ -98,6 +115,7 @@ def main() -> None:
     lines = grid_digests("desk", taped=VARIANTS)
     lines += grid_digests("paper", taped=("axial",))
     lines += train_digests()
+    lines += stack_digests()
     for name, digest in lines:
         print(f"{name:<22} {digest}")
 
