@@ -3,9 +3,12 @@
 Configuration is an INI file with [link], [channel], [model], [train], and
 [eval] sections layered over a preset ("desk" runs in minutes on one CPU
 core, "paper" mirrors the published link dimensions). Unknown sections or
-keys are rejected. Every text output starts with a comment line carrying
-the resolved config hash, the master seed, and the artifact version, and
-all results are CSV for external plotting.
+keys are rejected. `main` checks the whole file once, through `validated`,
+before any command runs: a malformed file or an unusable value in any
+section exits 2 naming the key, whatever the command, before `--out` is
+created or the LDPC code is built. Every text output starts with a comment
+line carrying the resolved config hash, the master seed, and the artifact
+version, and all results are CSV for external plotting.
 
 Exit codes: 0 success, 1 usage, 2 configuration, 3 runtime failure.
 AXRX_SEED in the environment overrides the config seeds; --seed overrides
@@ -21,10 +24,14 @@ import hashlib
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
+from .layers import Receiver, ReceiverConfig
 from .phy import LinkConfig
+from .trainer import EvalConfig, TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -40,16 +47,9 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _parse_names(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _list_of(item):
+    """Parser of a comma-separated list of `item` values; blank entries are skipped."""
+    return lambda text: tuple(item(part.strip()) for part in text.split(",") if part.strip())
 
 
 # section -> key -> (parser, desk default, paper default)
@@ -62,7 +62,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "carrier_frequency_hz": (float, 3.5e9, 3.5e9),
         "modulation_order": (int, 4, 64),
         "code_rate": (float, 0.5, 0.5),
-        "pilot_symbols": (_parse_ints, (2, 11), (2, 11)),
+        "pilot_symbols": (_list_of(int), (2, 11), (2, 11)),
         "pilot_seed": (int, 7, 7),
         "snr_db_min": (float, 0.0, 0.0),
         "snr_db_max": (float, 15.0, 15.0),
@@ -94,9 +94,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "checkpoint_every": (int, 0, 0),
     },
     "eval": {
-        "snr_points_db": (_parse_floats, (0.0, 3.0, 6.0, 9.0, 12.0),
+        "snr_points_db": (_list_of(float), (0.0, 3.0, 6.0, 9.0, 12.0),
                           (0.0, 3.0, 6.0, 9.0, 12.0)),
-        "tiers": (_parse_names, ("tdl-lo",), ("tdl-lo", "tdl-mid", "tdl-hi")),
+        "tiers": (_list_of(str), ("tdl-lo",), ("tdl-lo", "tdl-mid", "tdl-hi")),
         "max_blocks": (int, 200, 200),
         "target_errors": (int, 100, 100),
         "seed": (int, 0, 0),
@@ -115,7 +115,10 @@ def load_config(path: str | None, preset: str) -> dict[str, dict]:
                 for section, keys in SCHEMA.items()}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
-        read = parser.read(path)
+        try:
+            read = parser.read(path)
+        except configparser.Error as err:  # its message names the line and the key or section
+            raise ConfigError(str(err))
         if not read:
             raise UsageError(f"config file not found: {path}")
         if parser.defaults():
@@ -220,29 +223,50 @@ def link_from_config(config: dict[str, dict]) -> LinkConfig:
 
 
 def receiver_config_from(config: dict[str, dict], variant: str | None = None):
-    from .layers import ReceiverConfig
-
     link = link_from_config(config)
     model = config["model"]
     if model["init_seed"] < 0:
         raise ConfigError(f"[model] init_seed must be >= 0, got {model['init_seed']}")
+    return _build(
+        "model", ReceiverConfig,
+        variant=variant if variant is not None else model["variant"],
+        t=link.t,
+        f=link.f,
+        n_rx=link.n_rx,
+        d=model["embedding_dim"],
+        heads=model["heads"],
+        n_blocks=model["blocks"],
+        ffn_hidden=model["ffn_hidden"] or None,
+        kernel=model["kernel"],
+        bits_per_symbol=link.bits_per_symbol,
+        resnet_units=model["resnet_units"],
+        resnet_channels=model["resnet_channels"],
+    )
+
+
+def _build(section: str, make, **fields):
+    """`make(**fields)`, its ValueError reported as a ConfigError under [section]."""
     try:
-        return ReceiverConfig(
-            variant=variant if variant is not None else model["variant"],
-            t=link.t,
-            f=link.f,
-            n_rx=link.n_rx,
-            d=model["embedding_dim"],
-            heads=model["heads"],
-            n_blocks=model["blocks"],
-            ffn_hidden=model["ffn_hidden"] or None,
-            kernel=model["kernel"],
-            bits_per_symbol=link.bits_per_symbol,
-            resnet_units=model["resnet_units"],
-            resnet_channels=model["resnet_channels"],
-        )
+        return make(**fields)
     except ValueError as err:
-        raise ConfigError(f"[model] {err}")
+        raise ConfigError(f"[{section}] {err}")
+
+
+class Run(NamedTuple):
+    """The run objects that the config sections configure."""
+    link: LinkConfig
+    model: ReceiverConfig
+    train: TrainConfig
+    eval: EvalConfig
+
+
+def validated(config: dict[str, dict]) -> Run:
+    """Check every section, whatever the command; raise one ConfigError
+    naming the section and key of the first unusable value."""
+    model = receiver_config_from(config)  # checks [link] and [channel] first
+    return Run(link=link_from_config(config), model=model,
+               train=_build("train", TrainConfig, **config["train"]),
+               eval=_build("eval", EvalConfig, **config["eval"]))
 
 
 def _header_line(config: dict[str, dict], seed: int) -> str:
@@ -278,32 +302,22 @@ def _build_simulator(config: dict[str, dict]):
                          n_sinusoids=config["channel"]["sinusoids"])
 
 
-def cmd_train(args, config: dict[str, dict]) -> int:
+def cmd_train(args, config: dict[str, dict], run: Run) -> int:
     from .checkpoint import save
-    from .layers import Receiver
-    from .trainer import TrainConfig, train
+    from .trainer import train
 
-    seed = config["train"]["seed"]
-    try:
-        train_cfg = TrainConfig(steps=config["train"]["steps"],
-                                batch_size=config["train"]["batch_size"],
-                                learning_rate=config["train"]["learning_rate"],
-                                seed=seed,
-                                checkpoint_every=config["train"]["checkpoint_every"])
-    except ValueError as err:
-        raise ConfigError(f"[train] {err}")
-    receiver_cfg = receiver_config_from(config)  # reject a bad [link] or [model] before any work
+    seed = run.train.seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # written first, so a failed or killed run leaves it for post-mortems
     _write_config_snapshot(out / "config_snapshot.ini", config, seed)
     sim = _build_simulator(config)
-    model = Receiver(receiver_cfg, seed=config["model"]["init_seed"])
+    model = Receiver(run.model, seed=config["model"]["init_seed"])
 
     def checkpoint_fn(step: int, m) -> None:
         save(m.named_parameters(), str(out / f"checkpoint_step{step:06d}.axrx"))
 
-    result = train(model, sim, train_cfg, log_fn=print, checkpoint_fn=checkpoint_fn)
+    result = train(model, sim, run.train, log_fn=print, checkpoint_fn=checkpoint_fn)
     save(model.named_parameters(), str(out / "checkpoint.axrx"))
     _write_csv(out / "loss_trace.csv", config, seed,
                ["step", "loss", "snr_db", "velocity"],
@@ -313,26 +327,13 @@ def cmd_train(args, config: dict[str, dict]) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args, config: dict[str, dict]) -> int:
+def cmd_eval(args, config: dict[str, dict], run: Run) -> int:
     from .checkpoint import load
-    from .layers import Receiver
-    from .trainer import (EvalConfig, evaluate, lmmse_receiver, neural_receiver,
-                          perfect_csi_receiver)
+    from .trainer import evaluate, lmmse_receiver, neural_receiver, perfect_csi_receiver
 
-    seed = config["eval"]["seed"]
-    try:
-        eval_cfg = EvalConfig(snr_points_db=tuple(config["eval"]["snr_points_db"]),
-                              tiers=tuple(config["eval"]["tiers"]),
-                              max_blocks=config["eval"]["max_blocks"],
-                              target_errors=config["eval"]["target_errors"],
-                              seed=seed)
-    except ValueError as err:
-        raise ConfigError(f"[eval] {err}")
-    receiver_cfg = receiver_config_from(config)  # reject an invalid [model] before any work
-    link = link_from_config(config)
     receivers = {
-        "ls-lmmse": lmmse_receiver(link),
-        "perfect-csi": perfect_csi_receiver(link),
+        "ls-lmmse": lmmse_receiver(run.link),
+        "perfect-csi": perfect_csi_receiver(run.link),
     }
     paths: dict[str, str] = {}  # receiver name (the checkpoint's file stem) -> checkpoint
     for path in args.checkpoints:
@@ -349,49 +350,47 @@ def cmd_eval(args, config: dict[str, dict]) -> int:
     sim = _build_simulator(config)
     for name, path in paths.items():
         state = load(path)  # CheckpointError names the file
-        model = Receiver(receiver_cfg, seed=config["model"]["init_seed"])
+        model = Receiver(run.model, seed=config["model"]["init_seed"])
         try:
             model.load_state(state)
         except ValueError as err:
             raise ConfigError(f"checkpoint {path} does not match the configured model: {err}")
         receivers[name] = neural_receiver(model)
-    points = evaluate(receivers, sim, eval_cfg)
-    _write_csv(out / "eval_results.csv", config, seed,
+    points = evaluate(receivers, sim, run.eval)
+    _write_csv(out / "eval_results.csv", config, run.eval.seed,
                ["receiver", "snr_db", "velocity_tier", "blocks", "errors", "bler", "halfwidth"],
                [(p.receiver, f"{p.snr_db:.6g}", p.velocity_tier, p.blocks, p.errors,
                  f"{p.bler:.8g}", f"{p.halfwidth:.8g}") for p in points])
-    for p in points:
+    for p in points:  # undersampled: the block budget ran out before target_errors
         print(f"{p.receiver:>12} snr={p.snr_db:5.1f} dB tier={p.velocity_tier:>7} "
-              f"bler={p.bler:.4f} ({p.errors}/{p.blocks})")
+              f"bler={p.bler:.4f} ({p.errors}/{p.blocks})"
+              + (" undersampled" if p.undersampled else ""))
     print(f"wrote {out / 'eval_results.csv'}")
     return EXIT_OK
 
 
-def cmd_flops(args, config: dict[str, dict]) -> int:
+def cmd_flops(args, config: dict[str, dict], run: Run) -> int:
     from .complexity import model_report, reduction_factor, render_report, report_csv_rows
 
-    seed = config["train"]["seed"]
-    link = link_from_config(config)
-    receiver_config_from(config)  # reject an invalid configured variant up front
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows: list[tuple] = []
     for variant in ("axial", "global", "cnn-resnet"):
-        cfg = receiver_config_from(config, variant=variant)
-        report = model_report(cfg, instrumented=not args.analytic_only)
+        report = model_report(replace(run.model, variant=variant),
+                              instrumented=not args.analytic_only)
         print(render_report(report))
         print()
         rows.extend(report_csv_rows(report))
-    factor = reduction_factor(link.t, link.f)
-    print(f"reduction factor TF/(T+F) at T={link.t}, F={link.f}: {factor:.2f}")
+    factor = reduction_factor(run.link.t, run.link.f)
+    print(f"reduction factor TF/(T+F) at T={run.link.t}, F={run.link.f}: {factor:.2f}")
     rows.append(("all", "reduction_factor", f"{factor:.6g}", ""))
-    _write_csv(out / "flops_report.csv", config, seed,
+    _write_csv(out / "flops_report.csv", config, run.train.seed,
                ["variant", "layer", "analytic_flops", "counted_flops"], rows)
     print(f"wrote {out / 'flops_report.csv'}")
     return EXIT_OK
 
 
-def cmd_selftest(args, config: dict[str, dict]) -> int:
+def cmd_selftest(args, config: dict[str, dict], run: Run) -> int:
     from . import selftest
 
     return EXIT_OK if selftest.run() else EXIT_RUNTIME
@@ -452,7 +451,7 @@ def main(argv=None) -> int:
             raise UsageError("--seed must be >= 0")
         if args.command == "eval" and args.threads < 1:
             raise UsageError("--threads must be >= 1")
-        return COMMANDS[args.command](args, config)
+        return COMMANDS[args.command](args, config, validated(config))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -87,8 +87,13 @@ class EvalConfig:
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         for key in ("snr_points_db", "tiers"):
-            if not getattr(self, key):
+            values = getattr(self, key)
+            if not values:
                 raise ValueError(f"{key} must list at least one value")
+            # a repeat would be measured twice and written as two rows with one key
+            for i, value in enumerate(values):
+                if value in values[i + 1:]:
+                    raise ValueError(f"{key} lists {value!r} more than once")
         for snr_db in self.snr_points_db:
             if not math.isfinite(snr_db):
                 raise ValueError(f"snr_points_db must be finite, got {snr_db}")

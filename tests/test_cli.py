@@ -5,6 +5,7 @@ import io
 import math
 import os
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,12 +19,13 @@ from axialrx.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    PRESETS,
     SCHEMA,
-    _write_config_snapshot,
     config_hash,
     link_from_config,
     load_config,
     main,
+    validated,
 )
 from axialrx.layers import VARIANTS
 
@@ -116,18 +118,61 @@ class TestConfig:
 
     @pytest.mark.parametrize("preset, text", [("desk", None), ("paper", None),
                                               ("desk", TINY_CONFIG)], ids=["desk", "paper", "tiny"])
-    def test_snapshot_reads_back_to_the_same_hash(self, preset, text, tmp_path):
-        """`config_snapshot.ini` alone rebuilds the configuration: read back
-        over the other preset, it gives the same config_hash."""
+    def test_snapshot_reads_back_to_the_same_hash(self, preset, text, tmp_path, monkeypatch):
+        """The `config_snapshot.ini` that `train` writes alone rebuilds the
+        configuration: read back over either preset, it gives the same config
+        and config_hash, and it passes `validated`."""
+        import axialrx.cli as cli
+
+        def stop(config):
+            raise RuntimeError("stopped after the snapshot")
+
+        monkeypatch.setattr(cli, "_build_simulator", stop)
+        monkeypatch.delenv("AXRX_SEED", raising=False)
         source = tmp_path / "source.ini"
         if text is not None:
             source.write_text(text)
-        config = load_config(str(source) if text is not None else None, preset)
-        snapshot = tmp_path / "config_snapshot.ini"
-        _write_config_snapshot(snapshot, config, seed=config["train"]["seed"])
-        reloaded = load_config(str(snapshot), "paper" if preset == "desk" else "desk")
-        assert config_hash(reloaded) == config_hash(config)
-        assert reloaded == config
+        path = str(source) if text is not None else None
+        out = tmp_path / "run"
+        argv = ["train", "--preset", preset, "--out", str(out)]
+        assert main(argv + (["--config", path] if path else [])) == EXIT_RUNTIME
+        config = load_config(path, preset)
+        for other in PRESETS:
+            reloaded = load_config(str(out / "config_snapshot.ini"), other)
+            assert config_hash(reloaded) == config_hash(config)
+            assert reloaded == config
+            assert validated(reloaded) == validated(config)
+
+    def test_benchmark_recipe_is_valid(self):
+        """The recipe that trained perfbench's desk checkpoint passes `validated`."""
+        recipe = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "desk_axial.ini"
+        run = validated(load_config(str(recipe), "desk"))
+        assert run.train.steps == 300
+        assert (run.model.variant, run.link.f) == ("axial", 24)
+
+    @pytest.mark.parametrize("command", [["train"], ["eval"], ["flops", "--analytic-only"]],
+                             ids=["train", "eval", "flops"])
+    @pytest.mark.parametrize("text, named", [
+        ("[train]\nsteps = 2\nsteps = 3\n", "option 'steps' in section 'train' already exists"),
+        ("[train]\nsteps = 2\n[model]\nheads = 2\n[train]\nbatch_size = 2\n",
+         "section 'train' already exists"),
+        ("steps = 2\n[train]\nbatch_size = 2\n", "no section headers"),
+        ("[train]\nsteps = 2\ngarbage\n", "[line  3]: 'garbage"),
+    ], ids=["repeated-key", "repeated-section", "key-before-header", "line-without-equals"])
+    def test_malformed_file_exits_2(self, command, text, named, tmp_path, capsys, monkeypatch):
+        """The INI parser's own errors are config errors, whatever the command."""
+        import axialrx.cli as cli
+
+        built = []
+        monkeypatch.setattr(cli, "_build_simulator", lambda config: built.append(config))
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "o"
+        rc = main(command + ["--config", str(path), "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and str(path) in err
+        assert not built and not out.exists()
 
     def test_link_construction(self, tiny_config):
         link = link_from_config(load_config(tiny_config, "desk"))
@@ -272,7 +317,11 @@ class TestConfigValidation:
         ("snr_points_db = 6", "snr_points_db = 6, nan", "snr_points_db"),
         ("snr_points_db = 6", "snr_points_db = inf", "snr_points_db"),
         ("snr_points_db = 6", "snr_points_db = -inf, 6", "snr_points_db"),
-    ], ids=["negative-seed", "nan-snr-point", "inf-snr-point", "minus-inf-snr-point"])
+        ("snr_points_db = 6", "snr_points_db = 0, 6, -0", "snr_points_db lists 0.0 more"),
+        ("snr_points_db = 6", "snr_points_db = 6\ntiers = tdl-lo, tdl-hi, tdl-lo",
+         "tiers lists 'tdl-lo' more"),
+    ], ids=["negative-seed", "nan-snr-point", "inf-snr-point", "minus-inf-snr-point",
+            "repeated-snr-point", "repeated-tier"])
     def test_bad_eval_value(self, old, new, key, tmp_path, capsys, monkeypatch):
         import axialrx.cli as cli
 
@@ -381,9 +430,9 @@ OUT_OF_RANGE = {
     ("train", "seed"): st.integers(max_value=-1),
     ("train", "checkpoint_every"): st.integers(max_value=-1),
     ("eval", "snr_points_db"): st.lists(st.floats(), max_size=4).filter(
-        lambda v: not (v and all(map(math.isfinite, v)))),
+        lambda v: not (v and all(map(math.isfinite, v)) and len(set(v)) == len(v))),
     ("eval", "tiers"): st.lists(NAME, max_size=3).filter(
-        lambda v: not (v and set(v) <= set(VELOCITY_TIERS))),
+        lambda v: not (v and set(v) <= set(VELOCITY_TIERS) and len(set(v)) == len(v))),
     ("eval", "max_blocks"): st.integers(max_value=0),
     ("eval", "target_errors"): st.integers(max_value=0),
     ("eval", "seed"): st.integers(max_value=-1),
@@ -400,7 +449,9 @@ def ini_text(value) -> str:
 
 class TestConfigProperty:
     """Every schema key rejects an out-of-range value with exit 2 and a
-    message naming its section and key, before any simulator is built."""
+    message naming its section and key, before any simulator is built or
+    `--out` created, from every command, also one that does not use the
+    section."""
 
     def test_every_schema_key_has_out_of_range_values(self):
         assert set(OUT_OF_RANGE) == {(section, key) for section, keys in SCHEMA.items()
@@ -411,18 +462,21 @@ class TestConfigProperty:
     @given(case=BAD_VALUES)
     def test_out_of_range_value_exits_2_naming_the_key(self, case):
         section, key, value = case
-        command = "eval" if section == "eval" else "train"
-        err = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
-                mock.patch("axialrx.cli._build_simulator", side_effect=AssertionError), \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            os.environ.pop("AXRX_SEED", None)
-            path = os.path.join(tmp, "bad.ini")
-            with open(path, "w") as fh:
-                fh.write(f"[{section}]\n{key} = {ini_text(value)}\n")
-            rc = main([command, "--config", path, "--out", os.path.join(tmp, "o")])
-        assert rc == EXIT_CONFIG, err.getvalue()
-        assert f"[{section}]" in err.getvalue() and key in err.getvalue(), err.getvalue()
+        for command in (["train"], ["eval"], ["flops", "--analytic-only"], ["selftest"]):
+            err = io.StringIO()
+            with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+                    mock.patch("axialrx.cli._build_simulator", side_effect=AssertionError), \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                os.environ.pop("AXRX_SEED", None)
+                path = os.path.join(tmp, "bad.ini")
+                with open(path, "w") as fh:
+                    fh.write(f"[{section}]\n{key} = {ini_text(value)}\n")
+                out = os.path.join(tmp, "o")
+                rc = main(command + ["--config", path, "--out", out])
+                created = os.path.exists(out)
+            assert rc == EXIT_CONFIG, (command, err.getvalue())
+            assert f"[{section}]" in err.getvalue() and key in err.getvalue(), err.getvalue()
+            assert not created, command
 
 
 class TestTrainCommand:
@@ -584,6 +638,25 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
         assert "variant" in capsys.readouterr().err
         assert not (out / "eval_results.csv").exists()
+
+    def test_undersampled_points_marked_on_stdout(self, tmp_path, capsys):
+        """A point whose block budget ran out with 0 < errors < target_errors
+        ends its stdout line in `undersampled`; the CSV has no such column."""
+        path = tmp_path / "short.ini"
+        path.write_text(TINY_CONFIG.replace("snr_points_db = 6", "snr_points_db = 0, 40")
+                        .replace("target_errors = 2", "target_errors = 100"))
+        out = tmp_path / "o"
+        assert main(["eval", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        rows = (out / "eval_results.csv").read_text().splitlines()
+        assert rows[1] == "receiver,snr_db,velocity_tier,blocks,errors,bler,halfwidth"
+        marked = []
+        for line, row in zip(lines, rows[2:], strict=True):
+            receiver, _, _, blocks, errors, *_ = row.split(",")
+            assert line.split()[0] == receiver and f"({errors}/{blocks})" in line
+            marked.append(line.endswith(" undersampled"))
+            assert marked[-1] == (0 < int(errors) < 100), line
+        assert any(marked) and not all(marked)
 
     def test_unknown_tier_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "tier.ini"
