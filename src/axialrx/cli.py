@@ -116,9 +116,11 @@ def load_config(path: str | None, preset: str) -> dict[str, dict]:
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
         try:
-            read = parser.read(path)
+            read = parser.read(path, encoding="utf-8")
         except configparser.Error as err:  # its message names the line and the key or section
             raise ConfigError(str(err))
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {err}")
         if not read:
             raise UsageError(f"config file not found: {path}")
         if parser.defaults():

@@ -17,9 +17,12 @@ Decoding is one batched normalized min-sum kernel over (B, n) LLRs;
 Messages are kept slot-major, (row_weight, m, B): slot s of every check
 is one contiguous (m, B) slab, so each check-node step is an elementwise
 op over whole slabs, and the variable-node gathers use flat edge ids
-`col_slots * m + col_rows`. After every syndrome check the rows that
-converged are written out and dropped from the batch, so the remaining
-iterations only touch rows still being decoded. Rows never interact:
+`col_slots * m + col_rows`. The message, channel and posterior buffers
+are allocated once per call. After every syndrome check the rows that
+converged are written out and dropped from the batch: the surviving
+columns move in place, a block of rows at a time, into a C-contiguous
+prefix of the same buffers, so the remaining iterations only touch rows
+still being decoded. Rows never interact:
 a row decodes to the same bits, `converged` and `iterations` whatever
 else shares its batch.
 
@@ -43,6 +46,7 @@ DEFAULT_MAX_ITER = 25
 RATE_TARGET = 0.5
 RATE_TOLERANCE = 0.01
 ASSEMBLE_BLOCK_ROWS = 256
+COMPACT_BLOCK_ELEMENTS = 1 << 14  # moved per step when converged rows leave the batch
 
 
 class LdpcConstructionError(RuntimeError):
@@ -277,6 +281,24 @@ def syndrome(code: LdpcCode, bits: np.ndarray) -> np.ndarray:
     return bits[code.row_cols].sum(axis=1) % 2
 
 
+def _compress_in_place(x: np.ndarray, keep: np.ndarray, block_rows: int) -> np.ndarray:
+    """`np.compress(keep, x, axis=-1)`, written over the start of x's own memory.
+
+    x is C-contiguous; the result is a C-contiguous view of its first
+    elements. Rows (all axes but the last) move `block_rows` at a time: a
+    block is gathered before its destination is written, and since at most
+    x's width is kept, that destination ends before the next block's source
+    starts.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    width = int(np.count_nonzero(keep))
+    kept = x.reshape(-1)[:rows.shape[0] * width].reshape(rows.shape[0], width)
+    for start in range(0, rows.shape[0], block_rows):
+        block = slice(start, start + block_rows)
+        kept[block] = np.compress(keep, rows[block], axis=-1)
+    return kept.reshape(x.shape[:-1] + (width,))
+
+
 def _min_sum(code: LdpcCode, llr: np.ndarray, max_iter: int
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched normalized min-sum over (B, n) API-convention LLRs.
@@ -293,24 +315,27 @@ def _min_sum(code: LdpcCode, llr: np.ndarray, max_iter: int
     converged = np.zeros(batch, dtype=bool)
     iterations = np.full(batch, max_iter, dtype=np.int64)
     active = np.arange(batch)
-    chan = -np.ascontiguousarray(llr.T)  # (n, B); decoder-internal: positive favors bit 0
-    posterior = chan
+    chan = np.negative(llr.T, order="C")  # (n, B); decoder-internal: positive favors bit 0
+    posterior = chan.copy()
     msgs = np.zeros((row_weight, m, batch))  # check-to-variable, one slab per slot
     for iteration in range(1, max_iter + 1):
         parity = np.bitwise_xor.reduce((posterior < 0.0)[check_cols], axis=0)  # (m, B) syndrome
         done = (posterior != 0.0).all(axis=0) & ~parity.any(axis=0)
+        del parity
         if done.any():
             rows = active[done]
             bits[rows] = (posterior[:, done] < 0.0).T
             converged[rows] = True
             iterations[rows] = iteration
-            # np.compress keeps the arrays C-contiguous; `x[..., keep]` would not.
             keep = ~done
             active = active[keep]
-            chan, posterior, msgs = (np.compress(keep, x, axis=-1)
-                                     for x in (chan, posterior, msgs))
             if active.size == 0:
                 return bits, converged, iterations
+            # The surviving rows move into the start of each buffer, which
+            # stays C-contiguous; no second buffer is allocated.
+            block_rows = max(1, COMPACT_BLOCK_ELEMENTS // keep.size)
+            chan, posterior, msgs = (_compress_in_place(x, keep, block_rows)
+                                     for x in (chan, posterior, msgs))
         # Variable-to-check messages, in place and one slot at a time: each
         # edge's posterior minus the message it got from that check.
         for cols, slab in zip(check_cols, msgs):
@@ -327,9 +352,15 @@ def _min_sum(code: LdpcCode, llr: np.ndarray, max_iter: int
             np.minimum(min2, np.maximum(min1, mag[s]), out=min2)
             np.minimum(min1, mag[s], out=min1)
         # Magnitudes: min1 on every edge, then min2 scattered onto each argmin.
-        np.copyto(msgs, MIN_SUM_SCALE * min1)
-        at_argmin = argmin.ravel().astype(np.intp) * min1.size + np.arange(min1.size)
-        msgs.reshape(-1)[at_argmin] = MIN_SUM_SCALE * min2.ravel()
+        np.multiply(MIN_SUM_SCALE, min1, out=min1)
+        np.copyto(msgs, min1)
+        at_argmin = argmin.ravel().astype(np.intp)
+        at_argmin *= min1.size
+        del argmin
+        at_argmin += np.arange(min1.size)
+        np.multiply(MIN_SUM_SCALE, min2, out=min2)
+        msgs.reshape(-1)[at_argmin] = min2.ravel()
+        del min1, min2, at_argmin
         # Signs: an edge's message is negative when the other slots' signs
         # XOR to one; setting the sign bit of a magnitude negates it exactly.
         row_negative = np.bitwise_xor.reduce(negative, axis=0)
@@ -337,9 +368,13 @@ def _min_sum(code: LdpcCode, llr: np.ndarray, max_iter: int
             sign_bits = (slab_negative ^ row_negative).astype(np.uint64)
             sign_bits <<= 63
             slab_bits |= sign_bits
+        del negative, row_negative, sign_bits
+        # Posterior: the channel plus every incoming message, summed in edge
+        # order, one gathered (n, B) temporary at a time. The ids are in
+        # range; mode "clip" gathers straight into `out`, "raise" would buffer.
         flat = msgs.reshape(row_weight * m, -1)
-        posterior = flat[edges[0]] + flat[edges[1]]
-        for ids in edges[2:]:
+        np.take(flat, edges[0], axis=0, out=posterior, mode="clip")
+        for ids in edges[1:]:
             posterior += flat[ids]
         posterior += chan
     bits[active] = (posterior < 0.0).T

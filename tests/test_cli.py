@@ -158,7 +158,9 @@ class TestConfig:
          "section 'train' already exists"),
         ("steps = 2\n[train]\nbatch_size = 2\n", "no section headers"),
         ("[train]\nsteps = 2\ngarbage\n", "[line  3]: 'garbage"),
-    ], ids=["repeated-key", "repeated-section", "key-before-header", "line-without-equals"])
+        (b"[train]\nsteps = \xff2\n", "is not UTF-8 text"),
+    ], ids=["repeated-key", "repeated-section", "key-before-header", "line-without-equals",
+            "not-utf-8"])
     def test_malformed_file_exits_2(self, command, text, named, tmp_path, capsys, monkeypatch):
         """The INI parser's own errors are config errors, whatever the command."""
         import axialrx.cli as cli
@@ -166,7 +168,7 @@ class TestConfig:
         built = []
         monkeypatch.setattr(cli, "_build_simulator", lambda config: built.append(config))
         path = tmp_path / "bad.ini"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "o"
         rc = main(command + ["--config", str(path), "--out", str(out)])
         assert rc == EXIT_CONFIG

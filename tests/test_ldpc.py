@@ -408,6 +408,32 @@ def assert_rows_match(code, llr, max_iter):
         assert iterations[row] == single_iterations[0] == ref_iterations
 
 
+@st.composite
+def compress_cases(draw):
+    """A C-contiguous array with 0-2 leading axes, a `keep` mask over its last
+    axis and a block size from one row to more than all of them."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=0, max_size=2)))
+    shape += (draw(st.integers(1, 30)), draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(shape[-1]) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    block_rows = draw(st.integers(1, int(np.prod(shape[:-1])) + 1))
+    return rng.standard_normal(shape), keep, block_rows
+
+
+class TestCompressInPlace:
+    @settings(max_examples=200, deadline=None)
+    @given(case=compress_cases())
+    def test_prefix_equals_compress_of_a_copy(self, case):
+        x, keep, block_rows = case
+        expected = np.compress(keep, x.copy(), axis=-1)
+        start = x.ctypes.data
+        moved = ldpc._compress_in_place(x, keep, block_rows)
+        np.testing.assert_array_equal(moved, expected)
+        assert moved.flags.c_contiguous
+        assert moved.ctypes.data == start
+        assert moved.size == 0 or np.shares_memory(moved, x)
+
+
 class TestBatchedDecode:
     """The batched slot-major kernel against per-row decoding."""
 
@@ -453,6 +479,39 @@ class TestBatchedDecode:
         assert (iterations[[1, 4]] == ldpc.DEFAULT_MAX_ITER).all()
         assert 1 < iterations[2] < ldpc.DEFAULT_MAX_ITER
         assert_rows_match(code576, llr, ldpc.DEFAULT_MAX_ITER)
+
+    def test_staggered_convergence_over_many_blocks(self, code576, monkeypatch):
+        """96 desk rows converge at iteration 1, in between and never, while
+        every buffer is compacted in several blocks (4 rows at full width)."""
+        calls = []
+
+        def spy(x, keep, block_rows):
+            calls.append((x.shape, block_rows))
+            return compress_in_place(x, keep, block_rows)
+
+        compress_in_place = ldpc._compress_in_place
+        monkeypatch.setattr(ldpc, "_compress_in_place", spy)
+        monkeypatch.setattr(ldpc, "COMPACT_BLOCK_ELEMENTS", 4 * 96)
+        llr = awgn_llrs(code576, np.random.default_rng(21),
+                        np.resize([10.0, 0.0, 1.0, 2.0, -6.0, 3.0], 96))
+        _, converged, iterations = ldpc._min_sum(code576, llr, ldpc.DEFAULT_MAX_ITER)
+        assert (iterations == 1).any() and not converged.all()
+        assert len(np.unique(iterations[converged])) > 3
+        assert calls[0] == ((code576.n, 96), 4)
+        assert all(np.prod(shape[:-1]) > block_rows for shape, block_rows in calls)
+        assert_rows_match(code576, llr, ldpc.DEFAULT_MAX_ITER)
+
+    def test_desk_chunk_peak_memory(self, code576):
+        """Converged rows are moved inside the buffers, not into new ones.
+        Compacting into fresh copies (np.compress) put this peak at 5.3 MiB."""
+        llr = awgn_llrs(code576, np.random.default_rng(3), [0.0] * 96)
+        tracemalloc.start()
+        try:
+            ldpc._min_sum(code576, llr, ldpc.DEFAULT_MAX_ITER)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_golden_decode_results(self, code576):
         """sha256 of (bits, converged, iterations) over AWGN blocks at three SNRs.
