@@ -424,8 +424,9 @@ def build_parser() -> _Parser:
     common(p_eval)
     p_eval.add_argument("checkpoints", nargs="*", help="trained model checkpoint files")
     p_eval.add_argument("--threads", type=int, default=1,
-                        help="must be >= 1; evaluation runs serially and the value "
-                             "never changes output")
+                        help="must be >= 1 and is ignored: receivers run on every CPU "
+                             "the process may use (see taskset), and the count never "
+                             "changes output")
     p_flops = sub.add_parser("flops", help="FLOP/parameter report for all variants")
     common(p_flops)
     p_flops.add_argument("--analytic-only", action="store_true",

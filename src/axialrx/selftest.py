@@ -8,12 +8,11 @@ fault (e.g. a broken softmax) is actually exercised.
 from __future__ import annotations
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
-from . import baseline, complexity, ldpc, layers
+from . import baseline, complexity, ldpc, layers, phy, trainer
 from .layers import AttentionWeights
 
 
@@ -166,19 +165,32 @@ def check_degenerate_equivalence() -> tuple[str, bool, str]:
 def check_stacked_forward() -> tuple[str, bool, str]:
     """A forward of a stack of 3 tiny grids gives each grid its own forward's
     LLRs, for every variant: an op that mixes the block axis with a grid
-    axis changes a stacked forward but no single-grid one."""
+    axis changes a stacked forward but no single-grid one. The evaluation
+    receiver, with its slice cap lowered to one grid, must give the stack
+    the bits of its single grids too: its 3 slices run on up to 3 threads."""
     rng = np.random.default_rng(8)
     y = rng.standard_normal((3, 4, 3, 1)) + 1j * rng.standard_normal((3, 4, 3, 1))
+    grid = phy.ResourceGrid(y=y, bits=np.zeros((3, 4, 3, 2)), pilot_mask=np.zeros((4, 3), bool),
+                            n0=0.5)
     worst = 0.0
-    for variant in layers.VARIANTS:
-        cfg = layers.ReceiverConfig(variant=variant, t=4, f=3, n_rx=1, d=4, heads=2,
-                                    n_blocks=1, bits_per_symbol=2, resnet_units=1,
-                                    resnet_channels=4)
-        model = layers.Receiver(cfg, seed=9)
-        model.output_conv.w.data = rng.standard_normal(model.output_conv.w.shape)
-        stacked = model.forward(SimpleNamespace(y=y, n0=0.5)).data
-        single = [model.forward(SimpleNamespace(y=y[b], n0=0.5)).data for b in range(3)]
-        worst = max(worst, float(np.abs(stacked - np.stack(single)).max()))
+    cap = trainer.STACK_ELEMENTS
+    try:
+        trainer.STACK_ELEMENTS = 4 * 3 * 4  # T*F*width of one grid
+        for variant in layers.VARIANTS:
+            cfg = layers.ReceiverConfig(variant=variant, t=4, f=3, n_rx=1, d=4, heads=2,
+                                        n_blocks=1, bits_per_symbol=2, resnet_units=1,
+                                        resnet_channels=4)
+            model = layers.Receiver(cfg, seed=9)
+            model.output_conv.w.data = rng.standard_normal(model.output_conv.w.shape)
+            stacked = model.forward(grid).data
+            single = [model.forward(grid[b]).data for b in range(3)]
+            worst = max(worst, float(np.abs(stacked - np.stack(single)).max()))
+            receive = trainer.neural_receiver(model)
+            sliced = receive(grid, {})
+            single = [receive(grid[b], {}) for b in range(3)]
+            worst = max(worst, float(np.abs(sliced - np.stack(single)).max()))
+    finally:
+        trainer.STACK_ELEMENTS = cap
     return ("stacked forward equals single grids", worst < 1e-12, f"max diff {worst:.2e}")
 
 

@@ -8,17 +8,22 @@ which the tape records as one op.
 
 Every random draw derives from the master seed through a SeedSequence
 keyed by (seed, stream, index), so training traces, checkpoints, and
-evaluation results are bitwise reproducible. Evaluation runs serially in
-the calling process: it samples each chunk of blocks one by one, stacks
-their grids along a leading block axis, calls every receiver once on the
-stack, then decodes the LLRs of every block and receiver in the chunk in
-one batched min-sum call.
+evaluation results are bitwise reproducible. Evaluation samples each
+chunk of blocks one by one in the calling thread, stacks their grids
+along a leading block axis, calls every receiver once on the stack, then
+decodes the LLRs of every block and receiver in the chunk in one batched
+min-sum call. A receiver call splits its stack into slices and runs them
+on as many threads as the process has CPUs (`_in_slices`); sampling and
+decoding stay in the calling thread, because they hold the interpreter
+lock and two threads ran them no faster.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -27,7 +32,8 @@ import numpy as np
 from . import channel as channel_mod
 from . import ldpc as ldpc_mod
 from . import phy
-from .autodiff import Tape, Tensor, backward, bce_with_logits, scale
+from .autodiff import _TAPES, Tape, Tensor, backward, bce_with_logits, scale
+from .flopcount import _COUNTERS
 from .layers import Receiver
 
 TRAIN_STREAM = 101
@@ -45,7 +51,9 @@ EVAL_CHUNK_BLOCKS = 32  # blocks per stack and batched decode; the early-stop gr
 # at caps 2^13..2^19: axial 2.52 2.61 2.11 1.97 2.02 2.43 2.85, global 5.11
 # 5.12 4.76 4.66 4.43 4.73 4.85, LS-LMMSE 0.13 falling to 0.07 from 2^16 on.
 # Axial and global are flat from 2^15 to 2^17; a 2-grid cnn-resnet forward
-# (2^17) read 52.7 against 44.3 ms for one grid.
+# (2^17) read 52.7 against 44.3 ms for one grid. The slices of a stack run
+# on all the process's CPUs at once (`_in_slices`), so the cap also sets how
+# many slices a chunk offers them: 6 per axial or global chunk at desk dims.
 STACK_ELEMENTS = 1 << 16
 
 
@@ -80,7 +88,7 @@ class EvalConfig:
     max_blocks: int = 200
     target_errors: int = 100
     seed: int = 0
-    threads: int = 1  # ignored: evaluation runs serially; kept for callers that pass it
+    threads: int = 1  # ignored: the CPU affinity mask sets the threads; kept for callers
 
     def __post_init__(self):
         for key, low in (("max_blocks", 1), ("target_errors", 1), ("seed", 0)):
@@ -271,22 +279,73 @@ ReceiverFn = Callable[[phy.ResourceGrid, dict], np.ndarray]
 
 
 def stack_slices(blocks: int, block_elements: int) -> list[slice]:
-    """Consecutive slices that cover range(blocks) in order, each holding at
-    most STACK_ELEMENTS // block_elements blocks and always at least one."""
-    step = max(1, STACK_ELEMENTS // block_elements)
-    return [slice(i, min(i + step, blocks)) for i in range(0, blocks, step)]
+    """Consecutive slices that cover range(blocks) in order, as few as hold
+    at most STACK_ELEMENTS // block_elements blocks each (always at least
+    one), with sizes that differ by at most one, larger slices first."""
+    count = max(1, -(-blocks // max(1, STACK_ELEMENTS // block_elements)))
+    size, larger = divmod(blocks, count)
+    bounds = [i * size + min(i, larger) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on now (its affinity mask, e.g. `taskset`)."""
+    return len(os.sched_getaffinity(0))
+
+
+@functools.cache
+def _workers():
+    """The process's slice threads, started on first use and only as needed.
+    Imported here: `concurrent.futures` loads `logging`, which raised the
+    peak RSS of runs that never receive a stack by 0.7 MB."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=os.cpu_count(), thread_name_prefix="axialrx-slice")
 
 
 def _in_slices(receive: Callable[[object], np.ndarray], grid: phy.ResourceGrid,
                width: int) -> np.ndarray:
     """receive(key) on each `stack_slices` key of a stack's block axis, for
-    T*F*width elements per block, joined along that axis; receive(...) once
-    for a single grid."""
+    T*F*width elements per block, joined along that axis in slice order;
+    receive(...) once for a single grid.
+
+    The slices run on min(`_cpus()`, slices) streams: the calling thread
+    and threads of `_workers()`, slice i on stream i mod streams. Each part
+    is computed alone, so the joined LLRs are bitwise the same for any
+    stream count. If slices raise, every stream is waited for before the
+    first error in slice order is raised. A tape or FLOP counter is
+    process-global and would see the other threads' ops, so a stack of more
+    than one slice refuses to run while one is active.
+    """
     if grid.y.ndim == 3:
         return receive(...)
     keys = stack_slices(grid.y.shape[0], grid.pilot_mask.size * width)
-    parts = [receive(key) for key in keys]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if len(keys) == 1:
+        return receive(keys[0])
+    if _TAPES or _COUNTERS:
+        raise RuntimeError("a stack of several slices is received on several threads; "
+                           "call it outside every Tape and FlopCounter")
+    streams = min(_cpus(), len(keys))
+    parts: list[np.ndarray | None] = [None] * len(keys)
+    failed: dict[int, Exception] = {}
+
+    def run(stream: int) -> None:
+        for i in range(stream, len(keys), streams):
+            try:
+                parts[i] = receive(keys[i])
+            except Exception as error:  # raised by the caller once every stream is done
+                failed[i] = error
+                return
+
+    futures = [_workers().submit(run, stream) for stream in range(1, streams)]
+    try:
+        run(0)
+    finally:
+        for future in futures:
+            future.result()
+    if failed:
+        raise failed[min(failed)]
+    return np.concatenate(parts)
 
 
 def neural_receiver(model: Receiver) -> ReceiverFn:
@@ -297,7 +356,7 @@ def neural_receiver(model: Receiver) -> ReceiverFn:
     parameters untouched. Training `model` or calling its `load_state`
     afterwards does not reach this receiver: call again for a new snapshot.
     A stack runs in forwards of `stack_slices` blocks, each one untaped
-    forward over its slice's grids.
+    forward over its slice's grids, on several threads (`_in_slices`).
     """
     snapshot = copy.deepcopy(model)
     for tensor in snapshot.named_parameters().values():

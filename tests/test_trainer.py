@@ -2,6 +2,9 @@
 
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 
 from axialrx import channel, ldpc, phy, trainer
 from axialrx.autodiff import Tape, Tensor, backward, scale
+from axialrx.flopcount import FlopCounter
 from axialrx.layers import Receiver, ReceiverConfig
 from axialrx.phy import LinkConfig
 from axialrx.trainer import (
@@ -351,6 +355,17 @@ class TestStackedReceive:
             assert held >= 1
             assert held * block_elements <= trainer.STACK_ELEMENTS or held == 1
 
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=st.integers(1, 300), block_elements=st.integers(1, 1 << 18))
+    def test_slices_are_balanced_larger_first(self, blocks, block_elements):
+        """As few slices as the cap allows, sizes differing by at most one and
+        non-increasing, so the threads that run them get equal work."""
+        sizes = [key.stop - key.start for key in trainer.stack_slices(blocks, block_elements)]
+        cap = max(1, trainer.STACK_ELEMENTS // block_elements)
+        assert len(sizes) == -(-blocks // cap)
+        assert max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+
     def test_desk_and_paper_slice_sizes(self):
         """Desk axial/global forwards take 6 grids, cnn-resnet 1 and QPSK
         receivers a whole chunk; at paper dims every receiver takes 1 grid."""
@@ -359,6 +374,98 @@ class TestStackedReceive:
 
         assert [size(14, 24, w) for w in (32, 160, 4)] == [6, 1, trainer.EVAL_CHUNK_BLOCKS]
         assert [size(14, 128, w) for w in (128, 160, 64)] == [1, 1, 1]
+
+    def test_desk_axial_chunk_splits_evenly(self):
+        keys = trainer.stack_slices(trainer.EVAL_CHUNK_BLOCKS, 14 * 24 * 32)
+        assert [key.stop - key.start for key in keys] == [6, 6, 5, 5, 5, 5]
+
+
+def forward_threads(monkeypatch) -> list[str]:
+    """Names of the threads that run each `Receiver.forward` from now on."""
+    names = []
+    forward = Receiver.forward
+
+    def spy(model, grid):
+        names.append(threading.current_thread().name)
+        return forward(model, grid)
+
+    monkeypatch.setattr(Receiver, "forward", spy)
+    return names
+
+
+class TestSliceThreads:
+    """A stack's slices run on min(CPUs, slices) threads, the caller's and
+    `trainer._workers()`'s, with the results of one thread."""
+
+    @pytest.mark.parametrize("variant", ["axial", "cnn-resnet"])
+    def test_cpu_count_changes_no_bit(self, small_sim, monkeypatch, variant):
+        """Forced to 1 and to 3 CPUs, an eval chunk of 16 two-block slices
+        gives byte-identical LLRs and equal points; at 3 the forwards ran
+        on 3 threads (interpreter switch interval shortened), at 1 only on
+        the calling thread."""
+        monkeypatch.setattr(trainer, "STACK_ELEMENTS", 2 * 14 * 8 * 8)
+        samples = [small_sim.sample((5, 6, b), snr_db=4.0) for b in range(32)]
+        grid = phy.stack_grids([g for g, _, _ in samples])
+        model = small_model(seed=3, variant=variant)
+        w = model.output_conv.w
+        w.data = np.random.default_rng(4).standard_normal(w.shape)  # zero-init: all LLRs 0
+        receivers = {variant: neural_receiver(model)}
+        cfg = EvalConfig(snr_points_db=(-2.0, 10.0), tiers=("tdl-lo",), max_blocks=40,
+                         target_errors=100, seed=8)
+        names = forward_threads(monkeypatch)
+        results = {}
+        interval = sys.getswitchinterval()
+        for cpus in (1, 3):
+            monkeypatch.setattr(trainer, "_cpus", lambda: cpus)
+            names.clear()
+            sys.setswitchinterval(1e-6)
+            try:
+                llr = receivers[variant](grid, {})
+                points = evaluate(receivers, small_sim, cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(set(names)) == cpus
+            assert threading.current_thread().name in names
+            results[cpus] = (llr.tobytes(), points)
+        assert llr.shape == (32, 14, 8, 2) and np.abs(llr).max() > 1.0
+        assert results[1] == results[3]
+
+    def test_first_error_in_slice_order_once_every_slice_is_done(self, monkeypatch):
+        """Slice 2 raises at once, slice 1 on a worker 0.2 s later, and the
+        calling thread's slices 0 and 3 end within 0.05 s. The caller gets
+        slice 1's error, and only once no slice is running."""
+        monkeypatch.setattr(trainer, "_cpus", lambda: 3)
+        grid = phy.ResourceGrid(y=np.zeros((6, 2, 2, 1), complex), bits=np.zeros((6, 2, 2, 1)),
+                                pilot_mask=np.zeros((2, 2), bool), n0=1.0)
+        events = []
+
+        def receive(key):
+            events.append(("start", key.start))
+            time.sleep({1: 0.2, 3: 0.05}.get(key.start, 0.0))
+            events.append(("end", key.start))
+            if key.start in (1, 2):
+                raise ValueError(f"slice {key.start}")
+            return np.zeros(key.stop - key.start)
+
+        width = trainer.STACK_ELEMENTS // grid.pilot_mask.size  # one block per slice
+        with pytest.raises(ValueError, match="slice 1"):
+            trainer._in_slices(receive, grid, width)
+        done = list(events)
+        time.sleep(0.3)
+        assert events == done
+        started = {i for kind, i in done if kind == "start"}
+        assert started == {i for kind, i in done if kind == "end"} == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("active", [Tape, FlopCounter], ids=["tape", "flop-counter"])
+    def test_refused_under_a_process_global_stack(self, small_sim, monkeypatch, active):
+        monkeypatch.setattr(trainer, "STACK_ELEMENTS", 14 * 8 * 8)
+        samples = [small_sim.sample((5, 7, b), snr_db=4.0) for b in range(3)]
+        grid = phy.stack_grids([g for g, _, _ in samples])
+        receive = neural_receiver(small_model(seed=3))
+        with active(), pytest.raises(RuntimeError, match="Tape and FlopCounter"):
+            receive(grid, {})
+        with active():
+            assert receive(samples[0][0], {}).shape == (14, 8, 2)
 
 
 def one_tape_train(model, sim, cfg):
@@ -431,20 +538,6 @@ class TestEvaluate:
         threaded = EvalConfig(snr_points_db=(4.0, 8.0), tiers=("tdl-lo",), max_blocks=48,
                               target_errors=100, seed=3, threads=4)
         assert evaluate(receivers, small_sim, base) == evaluate(receivers, small_sim, threaded)
-
-    def test_evaluate_starts_no_thread(self, small_sim, monkeypatch):
-        """Evaluation is serial whatever `threads` says."""
-        import threading
-
-        def refuse(thread):
-            raise AssertionError(f"evaluate started {thread!r}")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        monkeypatch.setattr(trainer, "EVAL_CHUNK_BLOCKS", 2)
-        cfg = EvalConfig(snr_points_db=(8.0,), tiers=("tdl-lo",), max_blocks=4,
-                         target_errors=100, seed=3, threads=4)
-        points = evaluate({"ls-lmmse": lmmse_receiver(SMALL_LINK)}, small_sim, cfg)
-        assert points[0].blocks == 4
 
     def test_neural_receiver_runs_in_eval(self, small_sim):
         model = small_model(seed=6)
