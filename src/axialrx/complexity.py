@@ -16,12 +16,14 @@ exactly 4*(TF)^2*D for global attention and 4*T*F*D*(T+F) for one axial
 block, so their ratio is exactly TF/(T+F).
 
 `layers.attend` runs the core in cache-sized chunks (groups of whole
-sequences with all their heads, or blocks of query rows of one head).
-Chunking moves no FLOP: each chunk charges its two products
-(`layers.bmm`) to the `<block>#core` bucket and its softmax to the
-enclosing block, and the chunks partition the score matrix, so the
-instrumented counts equal these formulas unchanged. Backward recomputes
-the scores and charges nothing.
+sequences with all their heads, or blocks of query rows of one head),
+on every CPU the process may use. Chunking moves no FLOP: before any
+chunk runs, `attend` charges, in the calling thread and chunk by chunk,
+each chunk's two products to the `<block>#core` bucket and its softmax
+to the enclosing block, and the chunks partition the score matrix, so
+the instrumented counts equal these formulas unchanged. `layers.bmm`,
+the product itself, charges nothing. Backward recomputes the scores and
+charges nothing.
 
 Table-level GFLOP/parameter values published for these architectures are
 not reproducible without the unpublished hyperparameters; orderings and

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import flopcount
+from . import flopcount, streams
 from .autodiff import (
     DimensionError,
     Tensor,
@@ -127,9 +127,9 @@ class AttentionWeights:
 
 
 def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """One attention-core product a @ b into `out`, charged to `<block>#core`."""
-    with flopcount.bucket("#core"):
-        flopcount.add(2 * a.size * b.shape[-1])
+    """One attention-core product a @ b into `out`, as `attend`'s forward
+    runs it, on any stream; perfbench times the core through this name.
+    It charges nothing: `attend` charges every chunk in the calling thread."""
     return np.matmul(a, b, out=out)
 
 
@@ -169,13 +169,21 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     K^T is one contiguous (S, H, d_h, L) copy of its projection. Q and V are
     read as strided (S, H, L, d_h) views of their projections, and the core
     writes straight into an (S, L, H, d_h) array, so the head merge is a
-    reshape. The V of a `seq` split into several row blocks is copied once,
-    because every block re-reads all of it. One score buffer, sized for the
-    largest chunk, serves every chunk. Both products of every chunk go
-    through `bmm`, which charges them to `<block>#core`, a `#core` bucket
-    nested in the open one; the four projections charge 2*S*L*D^2 FLOPs
-    each and every score five (scale and softmax) to the open bucket
-    itself, so the per-chunk counts sum to those of one unchunked core.
+    reshape. When the rows of each `seq` are split into several blocks, V
+    is copied once, contiguous, because every block re-reads all of its
+    `seq`'s V.
+
+    One chunk runs in the calling thread. Several are the units of one
+    `streams.run`: they run on every CPU the process may use, each stream
+    with its own score buffer sized for the largest chunk. Every chunk
+    writes its own rows of the output, so the result is bitwise the same
+    for any stream count. Both products of every chunk go through `bmm`.
+    Before any chunk runs, the calling thread charges, chunk by chunk,
+    both products to `<block>#core`, a `#core` bucket nested in the open
+    one, and every score five FLOPs (scale and softmax) to the open bucket
+    itself; the four projections charge 2*S*L*D^2 FLOPs each to the open
+    bucket. So the per-chunk counts sum to those of one unchunked core,
+    and no tape or counter sees another thread.
 
     The steps are the IEEE operations of the composition of `matmul`,
     reshape/transpose head splits, `bmm`, `scale`, `softmax`, `bmm`, the
@@ -187,10 +195,11 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     expressions on the forward's strided head views of Q and V and on the
     same head view of the upstream gradient, so it copies none of them.
     A single chunk keeps its probabilities for backward. Several
-    chunks keep none: backward recomputes each chunk's probabilities (with
-    no FLOP charge), visits the chunks last first, sums the gradients of
-    chunks that share a `seq`, and adds every chunk's gradient into zeros,
-    which repeats the composition's additions, signed zeros included.
+    chunks keep none: backward, in the calling thread, recomputes each
+    chunk's probabilities (with no FLOP charge), visits the chunks last
+    first, sums the gradients of chunks that share a `seq`, and adds every
+    chunk's gradient into zeros, which repeats the composition's
+    additions, signed zeros included.
     """
     wq, wk, wv, wo, heads = w.wq, w.wk, w.wv, w.wo, w.heads
     if x.ndim < 2 or any(m.shape != (x.shape[-1],) * 2 for m in (wq, wk, wv, wo)):
@@ -221,7 +230,8 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     group = CORE_CHUNK_SCORES // (length * length)
     if group >= heads:
         seqs = group // heads
-        groups = [(np.s_[i:i + seqs], [np.s_[:]]) for i in range(0, s, seqs)]
+        blocks = [np.s_[:]]
+        groups = [(np.s_[i:i + seqs], blocks) for i in range(0, s, seqs)]
         size = min(seqs, s) * heads * length * length
     else:
         n_rows = max(1, CORE_CHUNK_SCORES // length)
@@ -239,16 +249,27 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
         p /= p.sum(axis=-1, keepdims=True)
         return p
 
-    buf = np.empty(size, dtype=x.data.dtype)
-    for seq, blocks in groups:
-        q, v, mixed = qd[seq], vd[seq], out_heads[seq]
-        if len(blocks) > 1:
-            v = np.ascontiguousarray(v)
-        for rows in blocks:
-            p = probabilities(q[..., rows, :], ktd[seq], buf, bmm)
-            flopcount.add(5 * p.size)
-            bmm(p, v, mixed[..., rows, :])
-    kept = p if len(groups) == 1 and len(blocks) == 1 else None
+    chunks = [(seq, rows) for seq, blocks in groups for rows in blocks]
+    for seq, rows in chunks:
+        scores = math.prod(qd[seq][..., rows, :].shape[:-1]) * length
+        with flopcount.bucket("#core"):
+            flopcount.add(2 * scores * dh)
+        flopcount.add(5 * scores)
+        with flopcount.bucket("#core"):
+            flopcount.add(2 * scores * dh)
+    if len(chunks) == 1:
+        kept = probabilities(qd, ktd, np.empty(size, dtype=x.data.dtype), bmm)
+        bmm(kept, vd, out_heads)
+    else:
+        kept = None
+        v_all = np.ascontiguousarray(vd) if len(blocks) > 1 else vd
+
+        def chunk(i, buf):
+            seq, rows = chunks[i]
+            p = probabilities(qd[seq][..., rows, :], ktd[seq], buf, bmm)
+            bmm(p, v_all[seq], out_heads[seq][..., rows, :])
+
+        streams.run(len(chunks), chunk, lambda: np.empty(size, dtype=x.data.dtype))
     merged = merged.reshape(s * length, d)
     flopcount.add(2 * s * length * d * d)
     out = Tensor((merged @ wo.data).reshape(xshape))

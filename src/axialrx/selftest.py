@@ -7,12 +7,13 @@ fault (e.g. a broken softmax) is actually exercised.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 
 from . import autodiff as ad
-from . import baseline, complexity, ldpc, layers, phy, trainer
+from . import baseline, complexity, ldpc, layers, phy, streams, trainer
 from .layers import AttentionWeights
 
 
@@ -80,7 +81,9 @@ def check_gradients() -> tuple[str, bool, str]:
 def check_attention_gradients() -> tuple[str, bool, str]:
     """Finite differences of the attention op receivers run, products through
     `layers.bmm`: one chunk, then, at a cap of 6 scores, each (sequence, head)
-    in query rows 0:2, 2:3."""
+    in query rows 0:2, 2:3. Those 8 chunks run on at least 2 streams, with
+    the interpreter switching threads as often as it can, so streams that
+    shared a score buffer would overwrite each other's probabilities."""
     rng = np.random.default_rng(5)
     x = ad.Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
     w = AttentionWeights(4, 2, rng)
@@ -90,16 +93,21 @@ def check_attention_gradients() -> tuple[str, bool, str]:
     def loss():
         return ad.sum_all(layers.attend(x, w) * r)
 
-    cap = layers.CORE_CHUNK_SCORES
+    cap, cpus, interval = layers.CORE_CHUNK_SCORES, streams.cpus, sys.getswitchinterval()
     try:
         gradcheck(loss, leaves)
         layers.CORE_CHUNK_SCORES = 6
+        streams.cpus = lambda: max(2, cpus())
+        sys.setswitchinterval(1e-6)
         gradcheck(loss, leaves)
     except AssertionError as err:
         return ("attention gradient finite-difference", False, str(err))
     finally:
         layers.CORE_CHUNK_SCORES = cap
-    return ("attention gradient finite-difference", True, "one chunk and row-split chunks")
+        streams.cpus = cpus
+        sys.setswitchinterval(interval)
+    return ("attention gradient finite-difference", True,
+            "one chunk and row-split chunks on 2+ streams")
 
 
 def check_feed_forward_gradients() -> tuple[str, bool, str]:

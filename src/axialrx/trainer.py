@@ -13,17 +13,19 @@ chunk of blocks one by one in the calling thread, stacks their grids
 along a leading block axis, calls every receiver once on the stack, then
 decodes the LLRs of every block and receiver in the chunk in one batched
 min-sum call. A receiver call splits its stack into slices and runs them
-on as many threads as the process has CPUs (`_in_slices`); sampling and
-decoding stay in the calling thread, because they hold the interpreter
-lock and two threads ran them no faster.
+on as many threads as the process may use CPUs (`_in_slices`, one
+`streams.run`); sampling and decoding stay in the calling thread, because
+they hold the interpreter lock and two threads ran them no faster. Runs
+of `streams` never nest, so the attention chunks of a forward inside a
+slice stay in that slice's thread. A forward called on its own, as in
+training or on a one-slice stack, runs an attention call of several
+chunks on every CPU instead (`layers.attend`).
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import channel as channel_mod
 from . import ldpc as ldpc_mod
-from . import phy
+from . import phy, streams
 from .autodiff import _TAPES, Tape, Tensor, backward, bce_with_logits, scale
 from .flopcount import _COUNTERS
 from .layers import Receiver
@@ -288,34 +290,18 @@ def stack_slices(blocks: int, block_elements: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _cpus() -> int:
-    """CPUs this process may run on now (its affinity mask, e.g. `taskset`)."""
-    return len(os.sched_getaffinity(0))
-
-
-@functools.cache
-def _workers():
-    """The process's slice threads, started on first use and only as needed.
-    Imported here: `concurrent.futures` loads `logging`, which raised the
-    peak RSS of runs that never receive a stack by 0.7 MB."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    return ThreadPoolExecutor(max_workers=os.cpu_count(), thread_name_prefix="axialrx-slice")
-
-
 def _in_slices(receive: Callable[[object], np.ndarray], grid: phy.ResourceGrid,
                width: int) -> np.ndarray:
     """receive(key) on each `stack_slices` key of a stack's block axis, for
     T*F*width elements per block, joined along that axis in slice order;
     receive(...) once for a single grid.
 
-    The slices run on min(`_cpus()`, slices) streams: the calling thread
-    and threads of `_workers()`, slice i on stream i mod streams. Each part
-    is computed alone, so the joined LLRs are bitwise the same for any
-    stream count. If slices raise, every stream is waited for before the
-    first error in slice order is raised. A tape or FLOP counter is
-    process-global and would see the other threads' ops, so a stack of more
-    than one slice refuses to run while one is active.
+    The slices are the units of one `streams.run`, so they run on every
+    CPU the process may use, and the first error in slice order is raised
+    once every stream is done. Each part is computed alone, so the joined
+    LLRs are bitwise the same for any stream count. A tape or FLOP counter
+    is process-global and would see the other threads' ops, so a stack of
+    more than one slice refuses to run while one is active.
     """
     if grid.y.ndim == 3:
         return receive(...)
@@ -325,27 +311,7 @@ def _in_slices(receive: Callable[[object], np.ndarray], grid: phy.ResourceGrid,
     if _TAPES or _COUNTERS:
         raise RuntimeError("a stack of several slices is received on several threads; "
                            "call it outside every Tape and FlopCounter")
-    streams = min(_cpus(), len(keys))
-    parts: list[np.ndarray | None] = [None] * len(keys)
-    failed: dict[int, Exception] = {}
-
-    def run(stream: int) -> None:
-        for i in range(stream, len(keys), streams):
-            try:
-                parts[i] = receive(keys[i])
-            except Exception as error:  # raised by the caller once every stream is done
-                failed[i] = error
-                return
-
-    futures = [_workers().submit(run, stream) for stream in range(1, streams)]
-    try:
-        run(0)
-    finally:
-        for future in futures:
-            future.result()
-    if failed:
-        raise failed[min(failed)]
-    return np.concatenate(parts)
+    return np.concatenate(streams.run(len(keys), lambda i, _: receive(keys[i])))
 
 
 def neural_receiver(model: Receiver) -> ReceiverFn:

@@ -1,5 +1,7 @@
 """Receiver architectures: attention oracles, degenerate equivalences, blocks."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import axialrx.layers as layers_mod
-from axialrx import flopcount, selftest
+from axialrx import flopcount, selftest, streams
 from axialrx.autodiff import (
     DimensionError,
     Tape,
@@ -621,16 +623,21 @@ CHUNK_PATHS = {
 }
 
 
-def spy_products(monkeypatch) -> list[tuple]:
-    """Log (a, b, out) of every `layers.bmm` call, the attention core's products."""
+def spy_products(monkeypatch, threads: bool = False) -> list[tuple]:
+    """Log (a, b, out) of every `layers.bmm` call, the attention core's
+    products, in call order. Unless `threads` is set, the stream count is
+    pinned to 1, so the calls come in chunk order; if it is set, each entry
+    ends with the name of the thread that made the call."""
     calls = []
     original = layers_mod.bmm
 
     def spy(a, b, out):
-        calls.append((a, b, out))
+        calls.append((a, b, out) + ((threading.current_thread().name,) if threads else ()))
         return original(a, b, out)
 
     monkeypatch.setattr(layers_mod, "bmm", spy)
+    if not threads:
+        monkeypatch.setattr(streams, "cpus", lambda: 1)
     return calls
 
 
@@ -711,6 +718,33 @@ class TestChunkedCore:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)
             assert_matches_composed(attend, x, w, m)
+
+    @pytest.mark.parametrize("path", ["grouped", "row-split"])
+    @pytest.mark.parametrize("operator", sorted(OPERATORS))
+    def test_stream_count_changes_no_bit(self, operator, path, monkeypatch):
+        """Forced to 1 and to 3 CPUs, with the interpreter switching threads
+        as often as it can, an operator's output, taped gradients and FLOP
+        buckets are the same bytes. At 1 CPU every product runs in the
+        calling thread; at 3 the chunks run on several threads."""
+        monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", OPERATOR_CAPS[operator][path])
+        x = np.random.default_rng(58).standard_normal((3, 5, 8))
+        w = make_weights(8, 2, seed=59)
+        calls = spy_products(monkeypatch, threads=True)
+        results, interval = {}, sys.getswitchinterval()
+        for cpus in (1, 3):
+            monkeypatch.setattr(streams, "cpus", lambda: cpus)
+            calls.clear()
+            sys.setswitchinterval(1e-6)
+            try:
+                results[cpus] = taped_attention(OPERATORS[operator], x, w)
+            finally:
+                sys.setswitchinterval(interval)
+            names = {name for *_, name in calls}
+            if cpus == 1:
+                assert names == {threading.current_thread().name}
+            else:
+                assert threading.current_thread().name in names and len(names) > 1
+        assert results[1] == results[3]
 
     def test_single_chunk_records_the_unchunked_nodes(self):
         """At the default cap a desk-sized axial call records one node."""
@@ -798,31 +832,42 @@ class TestChunkedCore:
 
 class TestSelftestAttentionCheck:
     """`selftest.check_attention_gradients` runs the op at the default cap,
-    then row-split at a cap of 6 scores, and restores the cap."""
+    then row-split at a cap of 6 scores on at least 2 streams, and restores
+    the cap, the CPU count and the switch interval."""
 
     def test_runs_one_chunk_then_row_blocks(self, monkeypatch):
         cap = layers_mod.CORE_CHUNK_SCORES
-        calls = spy_products(monkeypatch)
+        calls = spy_products(monkeypatch, threads=True)
+        monkeypatch.setattr(streams, "cpus", lambda: 1)  # the check raises it to 2
+        cpus = streams.cpus
         assert selftest.check_attention_gradients()[1]
-        queries = [q.shape for q, _, _ in calls[0::2]]
+        by_thread: dict[str, list] = {}
+        for a, _, _, name in calls:
+            by_thread.setdefault(name, []).append(a.shape)
+        queries = by_thread.pop(threading.current_thread().name)[0::2]
         single = queries.count((2, 2, 3, 2))  # x (2, 3, 4), 2 heads: one chunk
         assert single > 0 and queries[:single] == [(2, 2, 3, 2)] * single
-        # 2 sequences x 2 heads, each in query rows 0:2 and 2:3
-        assert queries[single:] == [(1, 1, 2, 2), (1, 1, 1, 2)] * 4 * single
-        assert layers_mod.CORE_CHUNK_SCORES == cap
+        # 2 sequences x 2 heads, each in query rows 0:2 (chunks 0, 2, 4, 6,
+        # the calling thread's stream) and 2:3 (chunks 1, 3, 5, 7, the other)
+        assert queries[single:] == [(1, 1, 2, 2)] * 4 * single
+        others = [shapes[0::2] for shapes in by_thread.values()]
+        assert sorted(sum(others, [])) == [(1, 1, 1, 2)] * 4 * single
+        assert layers_mod.CORE_CHUNK_SCORES == cap and streams.cpus is cpus
 
     def test_restores_the_cap_when_gradcheck_fails(self, monkeypatch):
-        cap = layers_mod.CORE_CHUNK_SCORES
+        cap, cpus, interval = layers_mod.CORE_CHUNK_SCORES, streams.cpus, sys.getswitchinterval()
         monkeypatch.setattr(layers_mod, "CORE_CHUNK_SCORES", cap)  # undone even if not restored
+        monkeypatch.setattr(streams, "cpus", cpus)
         seen = []
 
         def failing_gradcheck(build_loss, leaves):
-            seen.append(layers_mod.CORE_CHUNK_SCORES)
+            seen.append((layers_mod.CORE_CHUNK_SCORES, streams.cpus() >= 2))
             if layers_mod.CORE_CHUNK_SCORES == 6:
                 raise AssertionError("injected mismatch")
 
         monkeypatch.setattr(selftest, "gradcheck", failing_gradcheck)
         _, ok, detail = selftest.check_attention_gradients()
         assert (ok, detail) == (False, "injected mismatch")
-        assert seen == [cap, 6]
-        assert layers_mod.CORE_CHUNK_SCORES == cap
+        assert seen == [(cap, cpus() >= 2), (6, True)]
+        assert layers_mod.CORE_CHUNK_SCORES == cap and streams.cpus is cpus
+        assert sys.getswitchinterval() == interval

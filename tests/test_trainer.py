@@ -7,13 +7,14 @@ import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from axialrx import channel, ldpc, phy, trainer
+from axialrx import channel, layers, ldpc, phy, streams, trainer
 from axialrx.autodiff import Tape, Tensor, backward, scale
 from axialrx.flopcount import FlopCounter
 from axialrx.layers import Receiver, ReceiverConfig
@@ -395,7 +396,7 @@ def forward_threads(monkeypatch) -> list[str]:
 
 class TestSliceThreads:
     """A stack's slices run on min(CPUs, slices) threads, the caller's and
-    `trainer._workers()`'s, with the results of one thread."""
+    `streams.workers()`'s, with the results of one thread."""
 
     @pytest.mark.parametrize("variant", ["axial", "cnn-resnet"])
     def test_cpu_count_changes_no_bit(self, small_sim, monkeypatch, variant):
@@ -416,7 +417,7 @@ class TestSliceThreads:
         results = {}
         interval = sys.getswitchinterval()
         for cpus in (1, 3):
-            monkeypatch.setattr(trainer, "_cpus", lambda: cpus)
+            monkeypatch.setattr(streams, "cpus", lambda: cpus)
             names.clear()
             sys.setswitchinterval(1e-6)
             try:
@@ -434,7 +435,7 @@ class TestSliceThreads:
         """Slice 2 raises at once, slice 1 on a worker 0.2 s later, and the
         calling thread's slices 0 and 3 end within 0.05 s. The caller gets
         slice 1's error, and only once no slice is running."""
-        monkeypatch.setattr(trainer, "_cpus", lambda: 3)
+        monkeypatch.setattr(streams, "cpus", lambda: 3)
         grid = phy.ResourceGrid(y=np.zeros((6, 2, 2, 1), complex), bits=np.zeros((6, 2, 2, 1)),
                                 pilot_mask=np.zeros((2, 2), bool), n0=1.0)
         events = []
@@ -455,6 +456,42 @@ class TestSliceThreads:
         assert events == done
         started = {i for kind, i in done if kind == "start"}
         assert started == {i for kind, i in done if kind == "end"} == {0, 1, 2, 3}
+
+    def test_chunks_of_a_slice_stay_in_its_stream(self, small_sim, monkeypatch):
+        """Slices of 2 global grids whose attention runs in 28 row chunks per
+        grid:
+        at 3 CPUs the caller submits the 2 slice streams and nothing else
+        submits a job, so no chunk leaves its slice's thread, and the LLRs
+        are the bytes of the one-CPU run."""
+        monkeypatch.setattr(trainer, "STACK_ELEMENTS", 2 * 14 * 8 * 8)
+        monkeypatch.setattr(layers, "CORE_CHUNK_SCORES", 8 * 112)  # 112 / 8 = 14 row blocks
+        samples = [small_sim.sample((5, 9, b), snr_db=4.0) for b in range(6)]
+        grid = phy.stack_grids([g for g, _, _ in samples])
+        model = small_model(seed=3, variant="global")
+        w = model.output_conv.w
+        w.data = np.random.default_rng(4).standard_normal(w.shape)  # zero-init: all LLRs 0
+        receive = neural_receiver(model)
+        pool, caller = streams.workers(), threading.current_thread().name
+        submitters = []
+
+        def submit(fn, *args):  # a job from inside a stream could wait on a busy pool forever
+            submitters.append(threading.current_thread().name)
+            if submitters[-1] != caller:
+                raise RuntimeError("a job submitted from inside a stream")
+            return pool.submit(fn, *args)
+
+        monkeypatch.setattr(streams, "workers", lambda: SimpleNamespace(submit=submit))
+        llrs = {}
+        interval = sys.getswitchinterval()
+        for cpus in (1, 3):
+            monkeypatch.setattr(streams, "cpus", lambda: cpus)
+            sys.setswitchinterval(1e-6)
+            try:
+                llrs[cpus] = receive(grid, {}).tobytes()
+            finally:
+                sys.setswitchinterval(interval)
+        assert submitters == [caller] * 2
+        assert llrs[1] == llrs[3]
 
     @pytest.mark.parametrize("active", [Tape, FlopCounter], ids=["tape", "flop-counter"])
     def test_refused_under_a_process_global_stack(self, small_sim, monkeypatch, active):
