@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import flopcount
+from . import flopcount, streams
 
 
 class DimensionError(ValueError):
@@ -35,6 +35,10 @@ class DimensionError(ValueError):
 _TAPES: list["Tape"] = []  # active tapes, innermost last
 LAYER_NORM_EPS = 1e-5
 _KEPT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
+# Cap on one grid's conv2d product per row block: 2**16 elements (512 KB in
+# float64) keep a stream's reused product buffer in L2, as CORE_CHUNK_SCORES
+# does the attention core's scores. Every desk-dims conv fits in one block.
+CONV_BLOCK_PRODUCT = 1 << 16
 
 
 class Tensor:
@@ -363,6 +367,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _record(out, (x, gamma, beta), grad_fn)
 
 
+def _conv_row_blocks(t: int, width: int, c_out: int) -> list[tuple[int, int]]:
+    """conv2d's blocks of output rows [r0, r1): as many rows of one grid as
+    keep its (rows, width, c_out) product within CONV_BLOCK_PRODUCT, at
+    least one. A one-row product is a matrix-vector product in numpy, with
+    other bits, so a grid one padded column wide stays one block."""
+    if width == 1:
+        return [(0, t)]
+    n_rows = max(CONV_BLOCK_PRODUCT // (width * c_out), 1)
+    return [(r, min(r + n_rows, t)) for r in range(0, t, n_rows)]
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """2-D cross-correlation with zero "same" padding over (T, F) grids.
 
@@ -375,6 +390,16 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     runs each shift as one stacked matmul, one matrix per grid, so every
     grid's output is bitwise that of the grid alone; the weight gradient is
     one product over the rows of every grid.
+
+    The forward runs in blocks of output rows (`_conv_row_blocks`), each
+    block the same rows of every grid of a stack. One block, which every
+    desk-dims conv and the paper 1x1 output conv is, runs in the calling
+    thread. Several are the units of one `streams.run`, each stream with
+    its own product buffer, and each block adds into its own rows of the
+    bias-initialised output in the unsplit order, so the result is bitwise
+    the same for any block or stream count. FLOPs are charged once, in the
+    calling thread, before any block runs; backward runs in the calling
+    thread.
     """
     if x.ndim < 3 or w.ndim != 4:
         raise DimensionError(f"conv2d expects (..., T, F, C) input and 4-D kernel: "
@@ -394,15 +419,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     xp = np.zeros(lead + (t + k, width, c_in), dtype=x.data.dtype)
     xp[..., pad : pad + t, pad : pad + f, :] = x.data
     rows = xp.reshape(lead + (-1, c_in))
-    prod = np.empty(lead + (t, width, c_out), dtype=x.data.dtype)
-    prod_rows = prod.reshape(lead + (t * width, c_out))
     acc = np.tile(b.data, lead + (t, f, 1))
     wd = w.data
-    for di in range(k):
-        for dj in range(k):
-            start = di * width + dj
-            np.matmul(rows[..., start : start + t * width, :], wd[di, dj], out=prod_rows)
-            acc += prod[..., :f, :]
+    blocks = _conv_row_blocks(t, width, c_out)
+    per_row = math.prod(lead) * width * c_out
+
+    def block(i, buf):
+        r0, r1 = blocks[i]
+        n = r1 - r0
+        prod_rows = buf[: n * per_row].reshape(lead + (n * width, c_out))
+        valid = prod_rows.reshape(lead + (n, width, c_out))[..., :f, :]
+        out_rows = acc[..., r0:r1, :, :]
+        for di in range(k):
+            for dj in range(k):
+                start = (r0 + di) * width + dj
+                np.matmul(rows[..., start : start + n * width, :], wd[di, dj], out=prod_rows)
+                out_rows += valid
+
+    most = max((r1 - r0 for r0, r1 in blocks), default=0)
+    streams.run(len(blocks), block, lambda: np.empty(most * per_row, dtype=x.data.dtype))
     out = Tensor(acc)
     x_shape = x.shape
 

@@ -110,6 +110,37 @@ def check_attention_gradients() -> tuple[str, bool, str]:
             "one chunk and row-split chunks on 2+ streams")
 
 
+def check_conv_row_blocks() -> tuple[str, bool, str]:
+    """`conv2d` of a 2-grid stack of 7 rows at a product cap of 1, so each
+    row is a block. The 7 blocks run on at least 2 streams, with the
+    interpreter switching threads as often as it can, so streams that
+    shared a product buffer would overwrite each other's products. The
+    output must be bitwise that of one block, and finite differences of the
+    split forward must match the taped gradients."""
+    rng = np.random.default_rng(8)
+    x = ad.Tensor(rng.standard_normal((2, 7, 4, 3)), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((3, 3, 3, 2)) * 0.5, requires_grad=True)
+    b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
+    r = ad.Tensor(rng.standard_normal((2, 7, 4, 2)))
+    name = "conv2d row blocks on 2+ streams"
+    whole = ad.conv2d(x, w, b).data.tobytes()
+    cap, cpus, interval = ad.CONV_BLOCK_PRODUCT, streams.cpus, sys.getswitchinterval()
+    try:
+        ad.CONV_BLOCK_PRODUCT = 1
+        streams.cpus = lambda: max(2, cpus())
+        sys.setswitchinterval(1e-6)
+        if ad.conv2d(x, w, b).data.tobytes() != whole:
+            return (name, False, "7 row blocks differ from one block")
+        gradcheck(lambda: ad.sum_all(ad.conv2d(x, w, b) * r), [x, w, b])
+    except AssertionError as err:
+        return (name, False, str(err))
+    finally:
+        ad.CONV_BLOCK_PRODUCT = cap
+        streams.cpus = cpus
+        sys.setswitchinterval(interval)
+    return (name, True, "7 row blocks bitwise one block, gradients")
+
+
 def check_feed_forward_gradients() -> tuple[str, bool, str]:
     """Finite differences of the feed-forward op receivers run. b1 puts every
     pre-activation at least 0.5 from the ReLU kink: even hidden units are
@@ -256,6 +287,7 @@ def check_flops() -> tuple[str, bool, str]:
 ALL_CHECKS = (
     check_gradients,
     check_attention_gradients,
+    check_conv_row_blocks,
     check_feed_forward_gradients,
     check_bce_gradients,
     check_softmax_rows,

@@ -3,11 +3,12 @@
 `run` computes units 0..n-1 on streams: the calling thread is stream 0
 and the others are threads of one pool, started on first use. Evaluation
 runs the slices of a stacked receiver call this way
-(`trainer._in_slices`), and `layers.attend` its attention-core chunks.
-Runs never nest: while one is in progress, any other run, from any
-thread, computes its units one after another in its own thread. So the
-chunks of a slice's forward stay in that slice's stream, the CPUs are
-not oversubscribed, and no stream waits on the pool it runs in.
+(`trainer._in_slices`), `layers.attend` its attention-core chunks and
+`autodiff.conv2d` its blocks of output rows. Runs never nest: while one
+is in progress, any other run, from any thread, computes its units one
+after another in its own thread. So the chunks and row blocks of a
+slice's forward stay in that slice's stream, the CPUs are not
+oversubscribed, and no stream waits on the pool it runs in.
 
 A unit runs on whichever thread its stream has, so it must leave
 process-global state alone: an active `Tape` or `FlopCounter` would see

@@ -1,6 +1,8 @@
 """Numeric core: forward oracles, gradient soundness, algebraic invariants."""
 
 import gc
+import sys
+import threading
 import tracemalloc
 import weakref
 from types import SimpleNamespace
@@ -8,6 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from axialrx import selftest, streams
+import axialrx.autodiff as autodiff_mod
 from axialrx.autodiff import (
     DimensionError,
     Tape,
@@ -237,7 +241,7 @@ def conv2d_patch_oracle(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarr
     t, f, c_in = x.shape
     k, c_out = w.shape[0], w.shape[3]
     pad = k // 2
-    xp = np.zeros((t + k - 1, f + k - 1, c_in))
+    xp = np.zeros((t + k - 1, f + k - 1, c_in), dtype=x.dtype)
     xp[pad : pad + t, pad : pad + f] = x
     acc = np.tile(b, (t, f, 1))
     for di in range(k):
@@ -319,6 +323,174 @@ class TestConv2d:
         joint = conv2d(Tensor(x1 + x2), w, b).data
         split = conv2d(Tensor(x1), w, b).data + conv2d(Tensor(x2), w, b).data - b.data
         np.testing.assert_allclose(joint, split, atol=1e-12)
+
+
+def spy_conv_blocks(monkeypatch) -> list[tuple[str, int, list[str]]]:
+    """Log (calling thread, units, threads the units ran on) of every
+    `streams.run` call, as conv2d's row blocks make them."""
+    calls = []
+    original = streams.run
+
+    def spy(units, unit, scratch=lambda: None):
+        caller, ran = threading.current_thread().name, [None] * units
+
+        def named(i, own):
+            ran[i] = threading.current_thread().name
+            return unit(i, own)
+
+        result = original(units, named, scratch)
+        calls.append((caller, units, ran))
+        return result
+
+    monkeypatch.setattr(streams, "run", spy)
+    return calls
+
+
+def conv_in_row_blocks(monkeypatch, cap: int, build):
+    """`build()` with conv2d's product cap at `cap`, on 3 CPUs, with the
+    interpreter switching threads as often as it can."""
+    interval = sys.getswitchinterval()
+    with monkeypatch.context() as m:
+        m.setattr(autodiff_mod, "CONV_BLOCK_PRODUCT", cap)
+        m.setattr(streams, "cpus", lambda: 3)
+        sys.setswitchinterval(1e-6)
+        try:
+            return build()
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestConvRowBlocks:
+    """conv2d's forward in blocks of output rows on several streams against
+    one block in the calling thread and the patch forward."""
+
+    # (k, f): a 3x3 kernel over 4 columns and a 1x1 kernel over 6, so both
+    # pad to a width of 6; (k=1, f=1) takes the plan's one-column rule.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["grid", "stack"])
+    @pytest.mark.parametrize("k, f", [(3, 4), (1, 6), (1, 1)])
+    def test_bitwise_equal_to_one_block_and_patch_forward(self, k, f, lead, dtype, monkeypatch):
+        """7 rows in blocks of 2 (2, 2, 2, 1) on several threads give the
+        bytes of one block and, grid by grid, of the patch forward. A grid
+        one column wide stays one block in the calling thread."""
+        rng = np.random.default_rng(60 + k + f)
+        x = rng.standard_normal(lead + (7, f, 5)).astype(dtype)
+        w = rng.standard_normal((k, k, 5, 4)).astype(dtype)
+        b = rng.standard_normal(4).astype(dtype)
+        whole = conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+        calls = spy_conv_blocks(monkeypatch)
+        cap = 2 * (f + k - 1) * 4  # two rows of one grid's product
+        split = conv_in_row_blocks(monkeypatch, cap, lambda: conv2d(Tensor(x), Tensor(w), Tensor(b)))
+        assert split.data.dtype == dtype
+        assert _bits(split.data) == _bits(whole)
+        (caller, units, ran), = calls
+        if f == 1:
+            assert (units, ran) == (1, [caller])
+        else:
+            assert units == 4 and ran[0::3] == [caller] * 2 and len(set(ran)) > 1
+        for grid, ref in zip(split.data.reshape(-1, 7, f, 4), x.reshape(-1, 7, f, 5)):
+            assert _bits(grid) == _bits(conv2d_patch_oracle(ref, w, b))
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["grid", "stack"])
+    def test_taped_gradients_bitwise_equal_to_one_block(self, lead, monkeypatch):
+        """Output, gradients, FLOP buckets and tape nodes of 7 one-row
+        blocks on several streams are those of one block."""
+        rng = np.random.default_rng(62)
+        x, w, b = (rand_tensor(rng, shape) for shape in (lead + (7, 4, 5), (3, 3, 5, 4), (4,)))
+        upstream = rng.standard_normal(lead + (7, 4, 4))
+
+        def taped():
+            return taped_bits(lambda: conv2d(x, w, b), [x, w, b], upstream)
+
+        assert conv_in_row_blocks(monkeypatch, 1, taped) == taped()
+
+    @pytest.mark.parametrize("variant", layers_mod.VARIANTS)
+    def test_every_desk_conv_is_one_block(self, variant, monkeypatch):
+        """A desk forward of one grid and of a 6-grid stack, as evaluation
+        runs it, plans one block for every conv, so desk training and
+        evaluation never run a conv off the calling thread."""
+        from axialrx.cli import load_config, receiver_config_from
+
+        cfg = receiver_config_from(load_config(None, "desk"), variant=variant)
+        model = layers_mod.Receiver(cfg, seed=0)
+        plans = []
+        original = autodiff_mod._conv_row_blocks
+        monkeypatch.setattr(autodiff_mod, "_conv_row_blocks",
+                            lambda *shape: plans.append(original(*shape)) or plans[-1])
+        rng = np.random.default_rng(63)
+        for lead in ((), (6,)):
+            y = rng.standard_normal(lead + (cfg.t, cfg.f, cfg.n_rx)) + 0j
+            model(SimpleNamespace(y=y, n0=0.1))
+        convs = 2 + (2 * cfg.resnet_units if variant == "cnn-resnet" else 0)
+        assert plans == [[(0, cfg.t)]] * 2 * convs
+
+    def test_conv_inside_an_outer_run_stays_in_its_stream(self, monkeypatch):
+        """2 outer units on 2 streams each run a 4-block conv: every block
+        runs in the thread of the unit that called it, with the bytes of
+        one block."""
+        rng = np.random.default_rng(64)
+        xs = [Tensor(rng.standard_normal((7, 4, 5))) for _ in range(2)]
+        w, b = Tensor(rng.standard_normal((3, 3, 5, 4))), Tensor(rng.standard_normal(4))
+        whole = [conv2d(x, w, b).data for x in xs]
+        calls = spy_conv_blocks(monkeypatch)
+        split = conv_in_row_blocks(  # two rows of (6, 4) per block
+            monkeypatch, 48, lambda: streams.run(2, lambda i, _: conv2d(xs[i], w, b).data))
+        assert [_bits(a) for a in split] == [_bits(a) for a in whole]
+        *inner, (outer_caller, _, outer_ran) = calls
+        assert len(set(outer_ran)) == 2
+        assert sorted(caller for caller, _, _ in inner) == sorted(outer_ran)
+        for caller, units, ran in inner:
+            assert units == 4 and ran == [caller] * 4
+
+    def test_plan_never_makes_a_one_row_product(self, monkeypatch):
+        """Every (T, width, C_out, cap) up to small sizes: the blocks cover
+        rows 0..T in order, one block wherever the whole product fits, and
+        no block's product has one row where the unsplit one had more."""
+        for cap in range(1, 25):
+            monkeypatch.setattr(autodiff_mod, "CONV_BLOCK_PRODUCT", cap)
+            for t in range(1, 10):
+                for width in range(1, 5):
+                    for c_out in (1, 2, 3):
+                        blocks = autodiff_mod._conv_row_blocks(t, width, c_out)
+                        starts, ends = zip(*blocks)
+                        assert starts[0] == 0 and ends[-1] == t
+                        assert list(starts[1:]) == list(ends[:-1])
+                        assert all(r1 > r0 for r0, r1 in blocks)
+                        if t * width * c_out <= cap:
+                            assert blocks == [(0, t)]
+                        if t * width > 1:
+                            assert all((r1 - r0) * width > 1 for r0, r1 in blocks)
+
+
+class TestSelftestConvCheck:
+    """`selftest.check_conv_row_blocks` runs conv2d in 7 row blocks on at
+    least 2 streams and restores the cap, the CPU count and the switch
+    interval."""
+
+    def test_runs_seven_blocks_off_the_calling_thread(self, monkeypatch):
+        cap, interval = autodiff_mod.CONV_BLOCK_PRODUCT, sys.getswitchinterval()
+        monkeypatch.setattr(streams, "cpus", lambda: 1)  # the check raises it to 2
+        cpus = streams.cpus
+        calls = spy_conv_blocks(monkeypatch)
+        assert selftest.check_conv_row_blocks()[1]
+        assert calls[0][1:] == (1, [threading.current_thread().name])  # the one-block reference
+        split = calls[1:]
+        assert split and all(units == 7 and len(set(ran)) > 1 for _, units, ran in split)
+        assert autodiff_mod.CONV_BLOCK_PRODUCT == cap and streams.cpus is cpus
+        assert sys.getswitchinterval() == interval
+
+    def test_restores_the_cap_when_gradcheck_fails(self, monkeypatch):
+        cap, cpus, interval = autodiff_mod.CONV_BLOCK_PRODUCT, streams.cpus, sys.getswitchinterval()
+        monkeypatch.setattr(streams, "cpus", cpus)  # undone even if not restored
+        monkeypatch.setattr(autodiff_mod, "CONV_BLOCK_PRODUCT", cap)
+
+        def failing_gradcheck(build_loss, leaves):
+            raise AssertionError("injected mismatch")
+
+        monkeypatch.setattr(selftest, "gradcheck", failing_gradcheck)
+        assert selftest.check_conv_row_blocks()[1:] == (False, "injected mismatch")
+        assert autodiff_mod.CONV_BLOCK_PRODUCT == cap and streams.cpus is cpus
+        assert sys.getswitchinterval() == interval
 
 
 class TestBackward:
