@@ -35,10 +35,6 @@ class DimensionError(ValueError):
 _TAPES: list["Tape"] = []  # active tapes, innermost last
 LAYER_NORM_EPS = 1e-5
 _KEPT_DTYPES = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
-# Cap on one grid's conv2d product per row block: 2**16 elements (512 KB in
-# float64) keep a stream's reused product buffer in L2, as CORE_CHUNK_SCORES
-# does the attention core's scores. Every desk-dims conv fits in one block.
-CONV_BLOCK_PRODUCT = 1 << 16
 
 
 class Tensor:
@@ -331,6 +327,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     written-out expressions made about six each. The steps are the same IEEE
     operations in the same order, so values and gradients are bitwise those
     of the written-out expressions.
+
+    Every step works on whole rows, so forward runs in blocks of rows
+    (`streams.parallel_row_blocks`), each writing its own rows of xhat, the
+    output and 1/std: one block in the calling thread, several as the
+    units of one `streams.run`, with the bits of one block. FLOPs are
+    charged once, before any block runs; backward runs in the calling
+    thread.
     """
     d = x.shape[-1] if x.ndim else 0
     if d == 0:
@@ -338,17 +341,32 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     if gamma.shape != (d,) or beta.shape != (d,):
         raise DimensionError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} != ({d},)")
     flopcount.add(8 * x.size)
-    xd, gd = x.data, gamma.data
-    xhat = xd - np.add.reduce(xd, axis=-1, keepdims=True) / d
-    y = np.multiply(xhat, xhat)
-    inv_std = np.add.reduce(y, axis=-1, keepdims=True)
-    inv_std /= d
-    inv_std += LAYER_NORM_EPS
-    np.sqrt(inv_std, out=inv_std)
-    np.divide(1.0, inv_std, out=inv_std)
-    xhat *= inv_std
-    np.multiply(xhat, gd, out=y)
-    y += beta.data
+    xd, gd, bd = x.data, gamma.data, beta.data
+    rows = x.size // d
+    xhat, y = np.empty_like(xd), np.empty_like(xd)
+    inv_std = np.empty(xd.shape[:-1] + (1,), dtype=xd.dtype)
+    x2, xhat2, y2 = (a.reshape(rows, d) for a in (xd, xhat, y))
+    inv_std2 = inv_std.reshape(rows, 1)
+    blocks = streams.parallel_row_blocks(rows, d)
+
+    def block(i, _):
+        r0, r1 = blocks[i]
+        xr, xh, yr, ir = (a[r0:r1] for a in (x2, xhat2, y2, inv_std2))
+        np.subtract(xr, np.add.reduce(xr, axis=-1, keepdims=True) / d, out=xh)
+        np.multiply(xh, xh, out=yr)
+        np.add.reduce(yr, axis=-1, keepdims=True, out=ir)
+        ir /= d
+        ir += LAYER_NORM_EPS
+        np.sqrt(ir, out=ir)
+        np.divide(1.0, ir, out=ir)
+        xh *= ir
+        np.multiply(xh, gd, out=yr)
+        yr += bd
+
+    if len(blocks) == 1:
+        block(0, None)
+    else:
+        streams.run(len(blocks), block)
     out = Tensor(y)
     lead = tuple(range(x.ndim - 1))
 
@@ -367,17 +385,6 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _record(out, (x, gamma, beta), grad_fn)
 
 
-def _conv_row_blocks(t: int, width: int, c_out: int) -> list[tuple[int, int]]:
-    """conv2d's blocks of output rows [r0, r1): as many rows of one grid as
-    keep its (rows, width, c_out) product within CONV_BLOCK_PRODUCT, at
-    least one. A one-row product is a matrix-vector product in numpy, with
-    other bits, so a grid one padded column wide stays one block."""
-    if width == 1:
-        return [(0, t)]
-    n_rows = max(CONV_BLOCK_PRODUCT // (width * c_out), 1)
-    return [(r, min(r + n_rows, t)) for r in range(0, t, n_rows)]
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """2-D cross-correlation with zero "same" padding over (T, F) grids.
 
@@ -391,15 +398,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     grid's output is bitwise that of the grid alone; the weight gradient is
     one product over the rows of every grid.
 
-    The forward runs in blocks of output rows (`_conv_row_blocks`), each
-    block the same rows of every grid of a stack. One block, which every
-    desk-dims conv and the paper 1x1 output conv is, runs in the calling
-    thread. Several are the units of one `streams.run`, each stream with
-    its own product buffer, and each block adds into its own rows of the
-    bias-initialised output in the unsplit order, so the result is bitwise
-    the same for any block or stream count. FLOPs are charged once, in the
-    calling thread, before any block runs; backward runs in the calling
-    thread.
+    The forward runs in blocks of output rows, each block the same rows of
+    every grid of a stack: `streams.row_blocks` with one grid's (rows,
+    padded width, C_out) product per block under its cap, on one stream
+    too, since the cap keeps the reused product buffer in L2. A block of
+    one output row still makes a product of `width` rows, so it may have
+    one row; a grid one padded column wide stays one block. One block,
+    which every desk-dims conv and the paper 1x1 output conv is, runs
+    directly in the calling thread. Several are the units of one
+    `streams.run`, each stream with its own product buffer, and each block
+    adds into its own rows of the bias-initialised output in the unsplit
+    order, so the result is bitwise the same for any block or stream
+    count. FLOPs are charged once, in the calling thread, before any block
+    runs; backward runs in the calling thread.
     """
     if x.ndim < 3 or w.ndim != 4:
         raise DimensionError(f"conv2d expects (..., T, F, C) input and 4-D kernel: "
@@ -421,7 +432,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     rows = xp.reshape(lead + (-1, c_in))
     acc = np.tile(b.data, lead + (t, f, 1))
     wd = w.data
-    blocks = _conv_row_blocks(t, width, c_out)
+    blocks = streams.row_blocks(t, width * c_out, min_rows=1 if width > 1 else t)
     per_row = math.prod(lead) * width * c_out
 
     def block(i, buf):
@@ -436,8 +447,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 np.matmul(rows[..., start : start + n * width, :], wd[di, dj], out=prod_rows)
                 out_rows += valid
 
-    most = max((r1 - r0 for r0, r1 in blocks), default=0)
-    streams.run(len(blocks), block, lambda: np.empty(most * per_row, dtype=x.data.dtype))
+    most = max(r1 - r0 for r0, r1 in blocks)
+
+    def scratch():
+        return np.empty(most * per_row, dtype=x.data.dtype)
+
+    if len(blocks) == 1:
+        block(0, scratch())
+    else:
+        streams.run(len(blocks), block, scratch)
     out = Tensor(acc)
     x_shape = x.shape
 

@@ -133,6 +133,25 @@ def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(a, b, out=out)
 
 
+def _products(a: np.ndarray, weights: tuple[np.ndarray, ...],
+              blocks: list[tuple[int, int]]) -> list[np.ndarray]:
+    """[a @ m for m in weights] for a (rows, D) `a`. Several blocks are the
+    units of one `streams.run`, each computing every product's rows of its
+    block into the whole products; blocks of 2 or more rows give the bits
+    of the whole product."""
+    if len(blocks) == 1:
+        return [a @ m for m in weights]
+    outs = [np.empty((a.shape[0], m.shape[1]), dtype=a.dtype) for m in weights]
+
+    def block(i, _):
+        r0, r1 = blocks[i]
+        for m, out in zip(weights, outs):
+            np.matmul(a[r0:r1], m, out=out[r0:r1])
+
+    streams.run(len(blocks), block)
+    return outs
+
+
 def _row_max(p: np.ndarray) -> np.ndarray:
     """p.max(axis=-1, keepdims=True) of a C-contiguous array.
 
@@ -185,6 +204,14 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     bucket. So the per-chunk counts sum to those of one unchunked core,
     and no tape or counter sees another thread.
 
+    The Q/K/V projections and the wo output projection run in blocks of
+    the S*L rows, one plan for all four (rows, D) products
+    (`streams.parallel_row_blocks`). One block computes the whole products
+    in the calling thread; several are the units of one `streams.run`,
+    each computing its rows of all three of Q, K and V, then, after the
+    core, its rows of the output. Blocks have 2 or more rows, so they give
+    the bits of the whole products.
+
     The steps are the IEEE operations of the composition of `matmul`,
     reshape/transpose head splits, `bmm`, `scale`, `softmax`, `bmm`, the
     head merge and `matmul` in the same order (the row maximum is exact,
@@ -221,7 +248,8 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
 
     x2 = x.data.reshape(s * length, d)
     flopcount.add(3 * 2 * s * length * d * d)
-    qp, kp, vp = x2 @ wq.data, x2 @ wk.data, x2 @ wv.data
+    projection_blocks = streams.parallel_row_blocks(s * length, d)
+    qp, kp, vp = _products(x2, (wq.data, wk.data, wv.data), projection_blocks)
     qd, vd = head_view(qp), head_view(vp)
     ktd = np.ascontiguousarray(kp.reshape(s, length, heads, dh).transpose(0, 2, 3, 1))
     del kp
@@ -272,7 +300,7 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
         streams.run(len(chunks), chunk, lambda: np.empty(size, dtype=x.data.dtype))
     merged = merged.reshape(s * length, d)
     flopcount.add(2 * s * length * d * d)
-    out = Tensor((merged @ wo.data).reshape(xshape))
+    out = Tensor(_products(merged, (wo.data,), projection_blocks)[0].reshape(xshape))
     wqd, wkd, wvd, wod = wq.data, wk.data, wv.data, wo.data
 
     def chunk_grads(p, g, qc, ktc, vc, gs, gx):
@@ -367,15 +395,24 @@ def feed_forward(x: Tensor, w: FeedForward) -> Tensor:
     """relu(x @ w1 + b1) @ w2 + b2 at every position of x (..., D), as one node.
 
     The op charges 4*n*D*hidden + 2*n*hidden + n*D FLOPs over its n
-    positions to the open bucket. Forward adds b1 and applies the ReLU in
-    place on its own hidden buffer, then adds b2 in place on its output, so
-    it holds one hidden-sized buffer where the composition held three. The
-    steps are the IEEE operations of the composition of reshape, `matmul`,
-    `bias_add`, `relu`, `matmul`, `bias_add` and reshape in the same order,
-    and backward repeats that composition's gradient expressions, taking
-    the ReLU mask as h > 0 of the kept activations h (an activation is
-    positive exactly where its pre-activation is). So values, gradients
-    and FLOP charges are bitwise those of the composition.
+    positions to the open bucket, in the calling thread, before any
+    product. Forward adds b1 and applies the ReLU in place on its own
+    hidden buffer, then adds b2 in place on its output, so it holds one
+    hidden-sized buffer where the composition held three. It runs in
+    blocks of the n positions, sized by the larger of its two products
+    (`streams.parallel_row_blocks`). One block computes the whole products
+    in the calling thread; several are the units of one `streams.run`,
+    each computing its own rows of the hidden buffer and then of the
+    output. Blocks have 2 or more rows, so they give the bits of the whole
+    products.
+
+    The steps are the IEEE operations of the composition of reshape,
+    `matmul`, `bias_add`, `relu`, `matmul`, `bias_add` and reshape in the
+    same order, and backward repeats that composition's gradient
+    expressions, taking the ReLU mask as h > 0 of the kept activations h
+    (an activation is positive exactly where its pre-activation is). So
+    values, gradients and FLOP charges are bitwise those of the
+    composition.
     """
     w1, b1, w2, b2 = w.w1.data, w.b1.data, w.w2.data, w.b2.data
     d, hidden = w1.shape
@@ -387,11 +424,27 @@ def feed_forward(x: Tensor, w: FeedForward) -> Tensor:
     flat = x.data.reshape(-1, d)
     n = flat.shape[0]
     flopcount.add(4 * n * d * hidden + 2 * n * hidden + n * d)
-    h = flat @ w1
-    h += b1
-    np.maximum(h, 0.0, out=h)
-    y = h @ w2
-    y += b2
+    blocks = streams.parallel_row_blocks(n, max(d, hidden))
+    if len(blocks) == 1:
+        h = flat @ w1
+        h += b1
+        np.maximum(h, 0.0, out=h)
+        y = h @ w2
+        y += b2
+    else:
+        h = np.empty((n, hidden), dtype=flat.dtype)
+        y = np.empty((n, d), dtype=flat.dtype)
+
+        def block(i, _):
+            r0, r1 = blocks[i]
+            hr, yr = h[r0:r1], y[r0:r1]
+            np.matmul(flat[r0:r1], w1, out=hr)
+            hr += b1
+            np.maximum(hr, 0.0, out=hr)
+            np.matmul(hr, w2, out=yr)
+            yr += b2
+
+        streams.run(len(blocks), block)
     out = Tensor(y.reshape(x.shape))
     xshape = x.shape
 

@@ -124,9 +124,9 @@ def check_conv_row_blocks() -> tuple[str, bool, str]:
     r = ad.Tensor(rng.standard_normal((2, 7, 4, 2)))
     name = "conv2d row blocks on 2+ streams"
     whole = ad.conv2d(x, w, b).data.tobytes()
-    cap, cpus, interval = ad.CONV_BLOCK_PRODUCT, streams.cpus, sys.getswitchinterval()
+    cap, cpus, interval = streams.BLOCK_ELEMENTS, streams.cpus, sys.getswitchinterval()
     try:
-        ad.CONV_BLOCK_PRODUCT = 1
+        streams.BLOCK_ELEMENTS = 1
         streams.cpus = lambda: max(2, cpus())
         sys.setswitchinterval(1e-6)
         if ad.conv2d(x, w, b).data.tobytes() != whole:
@@ -135,7 +135,56 @@ def check_conv_row_blocks() -> tuple[str, bool, str]:
     except AssertionError as err:
         return (name, False, str(err))
     finally:
-        ad.CONV_BLOCK_PRODUCT = cap
+        streams.BLOCK_ELEMENTS = cap
+        streams.cpus = cpus
+        sys.setswitchinterval(interval)
+    return (name, True, "7 row blocks bitwise one block, gradients")
+
+
+def check_row_blocks() -> tuple[str, bool, str]:
+    """Time, frequency and global `attend`, `feed_forward` and `layer_norm`
+    on a 3 x 5 grid at a row-block cap of 1: each runs its 15 rows in 7
+    blocks, the last one of 3 rows. The blocks run on at least 2 streams,
+    with the interpreter switching threads as often as it can, so blocks
+    that shared an output row or a hidden buffer would show. Each output
+    must be bitwise that of one block, and finite differences of the split
+    forwards must match the taped gradients."""
+    rng = np.random.default_rng(9)
+    x = ad.Tensor(rng.standard_normal((3, 5, 4)), requires_grad=True)
+    w = AttentionWeights(4, 2, rng)
+    ffn = layers.FeedForward(4, 6, rng)
+    ffn.b1.data, ffn.b2.data = rng.standard_normal(6), rng.standard_normal(4)
+    ln = layers.LayerNormParams(4)
+    ln.gamma.data, ln.beta.data = rng.standard_normal(4) + 1.0, rng.standard_normal(4)
+    r = ad.Tensor(rng.standard_normal((3, 5, 4)))
+    ops = {"time": lambda: layers.axial_time_attention(x, w),
+           "frequency": lambda: layers.axial_freq_attention(x, w),
+           "global": lambda: layers.global_mhsa(x, w),
+           "feed-forward": lambda: layers.feed_forward(x, ffn),
+           "layer norm": lambda: ad.layer_norm(x, ln.gamma, ln.beta)}
+    name = "attention/FFN/layer-norm row blocks"
+    whole = {key: op().data.tobytes() for key, op in ops.items()}
+
+    def loss():
+        total = ops["time"]()
+        for key in ("frequency", "global", "feed-forward", "layer norm"):
+            total = total + ops[key]()
+        return ad.sum_all(total * r)
+
+    cap, cpus, interval = streams.BLOCK_ELEMENTS, streams.cpus, sys.getswitchinterval()
+    try:
+        streams.BLOCK_ELEMENTS = 1
+        streams.cpus = lambda: max(2, cpus())
+        sys.setswitchinterval(1e-6)
+        for key, op in ops.items():
+            if op().data.tobytes() != whole[key]:
+                return (name, False, f"{key} row blocks differ from one block")
+        gradcheck(loss, [x, w.wq, w.wk, w.wv, w.wo, ffn.w1, ffn.b1, ffn.w2, ffn.b2, ln.gamma,
+                         ln.beta])
+    except AssertionError as err:
+        return (name, False, str(err))
+    finally:
+        streams.BLOCK_ELEMENTS = cap
         streams.cpus = cpus
         sys.setswitchinterval(interval)
     return (name, True, "7 row blocks bitwise one block, gradients")
@@ -288,6 +337,7 @@ ALL_CHECKS = (
     check_gradients,
     check_attention_gradients,
     check_conv_row_blocks,
+    check_row_blocks,
     check_feed_forward_gradients,
     check_bce_gradients,
     check_softmax_rows,

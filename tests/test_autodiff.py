@@ -327,7 +327,8 @@ class TestConv2d:
 
 def spy_conv_blocks(monkeypatch) -> list[tuple[str, int, list[str]]]:
     """Log (calling thread, units, threads the units ran on) of every
-    `streams.run` call, as conv2d's row blocks make them."""
+    `streams.run` call, as conv2d's row blocks make them. A one-block conv
+    makes none: it runs its block directly."""
     calls = []
     original = streams.run
 
@@ -346,12 +347,26 @@ def spy_conv_blocks(monkeypatch) -> list[tuple[str, int, list[str]]]:
     return calls
 
 
+def spy_conv_plans(monkeypatch) -> list[list[tuple[int, int]]]:
+    """Log the row blocks of every conv2d call: the plans autodiff takes
+    from `streams.row_blocks` directly, which only conv2d does."""
+    plans = []
+
+    def row_blocks(*args, **kwargs):
+        plans.append(streams.row_blocks(*args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(autodiff_mod, "streams", SimpleNamespace(
+        run=streams.run, row_blocks=row_blocks, parallel_row_blocks=streams.parallel_row_blocks))
+    return plans
+
+
 def conv_in_row_blocks(monkeypatch, cap: int, build):
-    """`build()` with conv2d's product cap at `cap`, on 3 CPUs, with the
+    """`build()` with the row-block product cap at `cap`, on 3 CPUs, with the
     interpreter switching threads as often as it can."""
     interval = sys.getswitchinterval()
     with monkeypatch.context() as m:
-        m.setattr(autodiff_mod, "CONV_BLOCK_PRODUCT", cap)
+        m.setattr(streams, "BLOCK_ELEMENTS", cap)
         m.setattr(streams, "cpus", lambda: 3)
         sys.setswitchinterval(1e-6)
         try:
@@ -372,7 +387,8 @@ class TestConvRowBlocks:
     def test_bitwise_equal_to_one_block_and_patch_forward(self, k, f, lead, dtype, monkeypatch):
         """7 rows in blocks of 2 (2, 2, 2, 1) on several threads give the
         bytes of one block and, grid by grid, of the patch forward. A grid
-        one column wide stays one block in the calling thread."""
+        one column wide stays one block, run directly in the calling
+        thread."""
         rng = np.random.default_rng(60 + k + f)
         x = rng.standard_normal(lead + (7, f, 5)).astype(dtype)
         w = rng.standard_normal((k, k, 5, 4)).astype(dtype)
@@ -383,10 +399,10 @@ class TestConvRowBlocks:
         split = conv_in_row_blocks(monkeypatch, cap, lambda: conv2d(Tensor(x), Tensor(w), Tensor(b)))
         assert split.data.dtype == dtype
         assert _bits(split.data) == _bits(whole)
-        (caller, units, ran), = calls
         if f == 1:
-            assert (units, ran) == (1, [caller])
+            assert calls == []
         else:
+            (caller, units, ran), = calls
             assert units == 4 and ran[0::3] == [caller] * 2 and len(set(ran)) > 1
         for grid, ref in zip(split.data.reshape(-1, 7, f, 4), x.reshape(-1, 7, f, 5)):
             assert _bits(grid) == _bits(conv2d_patch_oracle(ref, w, b))
@@ -413,10 +429,7 @@ class TestConvRowBlocks:
 
         cfg = receiver_config_from(load_config(None, "desk"), variant=variant)
         model = layers_mod.Receiver(cfg, seed=0)
-        plans = []
-        original = autodiff_mod._conv_row_blocks
-        monkeypatch.setattr(autodiff_mod, "_conv_row_blocks",
-                            lambda *shape: plans.append(original(*shape)) or plans[-1])
+        plans = spy_conv_plans(monkeypatch)
         rng = np.random.default_rng(63)
         for lead in ((), (6,)):
             y = rng.standard_normal(lead + (cfg.t, cfg.f, cfg.n_rx)) + 0j
@@ -443,15 +456,19 @@ class TestConvRowBlocks:
             assert units == 4 and ran == [caller] * 4
 
     def test_plan_never_makes_a_one_row_product(self, monkeypatch):
-        """Every (T, width, C_out, cap) up to small sizes: the blocks cover
-        rows 0..T in order, one block wherever the whole product fits, and
-        no block's product has one row where the unsplit one had more."""
+        """Every (T, width, C_out, cap) up to small sizes, planned by 1x1
+        convs of width columns: the blocks cover rows 0..T in order, one
+        block wherever the whole product fits, and no block's product has
+        one row where the unsplit one had more."""
+        plans = spy_conv_plans(monkeypatch)
         for cap in range(1, 25):
-            monkeypatch.setattr(autodiff_mod, "CONV_BLOCK_PRODUCT", cap)
+            monkeypatch.setattr(streams, "BLOCK_ELEMENTS", cap)
             for t in range(1, 10):
                 for width in range(1, 5):
                     for c_out in (1, 2, 3):
-                        blocks = autodiff_mod._conv_row_blocks(t, width, c_out)
+                        conv2d(Tensor(np.ones((t, width, 1))), Tensor(np.ones((1, 1, 1, c_out))),
+                               Tensor(np.zeros(c_out)))
+                        blocks = plans[-1]
                         starts, ends = zip(*blocks)
                         assert starts[0] == 0 and ends[-1] == t
                         assert list(starts[1:]) == list(ends[:-1])
@@ -468,28 +485,26 @@ class TestSelftestConvCheck:
     interval."""
 
     def test_runs_seven_blocks_off_the_calling_thread(self, monkeypatch):
-        cap, interval = autodiff_mod.CONV_BLOCK_PRODUCT, sys.getswitchinterval()
+        cap, interval = streams.BLOCK_ELEMENTS, sys.getswitchinterval()
         monkeypatch.setattr(streams, "cpus", lambda: 1)  # the check raises it to 2
         cpus = streams.cpus
-        calls = spy_conv_blocks(monkeypatch)
+        calls = spy_conv_blocks(monkeypatch)  # the one-block reference makes none
         assert selftest.check_conv_row_blocks()[1]
-        assert calls[0][1:] == (1, [threading.current_thread().name])  # the one-block reference
-        split = calls[1:]
-        assert split and all(units == 7 and len(set(ran)) > 1 for _, units, ran in split)
-        assert autodiff_mod.CONV_BLOCK_PRODUCT == cap and streams.cpus is cpus
+        assert calls and all(units == 7 and len(set(ran)) > 1 for _, units, ran in calls)
+        assert streams.BLOCK_ELEMENTS == cap and streams.cpus is cpus
         assert sys.getswitchinterval() == interval
 
     def test_restores_the_cap_when_gradcheck_fails(self, monkeypatch):
-        cap, cpus, interval = autodiff_mod.CONV_BLOCK_PRODUCT, streams.cpus, sys.getswitchinterval()
+        cap, cpus, interval = streams.BLOCK_ELEMENTS, streams.cpus, sys.getswitchinterval()
         monkeypatch.setattr(streams, "cpus", cpus)  # undone even if not restored
-        monkeypatch.setattr(autodiff_mod, "CONV_BLOCK_PRODUCT", cap)
+        monkeypatch.setattr(streams, "BLOCK_ELEMENTS", cap)
 
         def failing_gradcheck(build_loss, leaves):
             raise AssertionError("injected mismatch")
 
         monkeypatch.setattr(selftest, "gradcheck", failing_gradcheck)
         assert selftest.check_conv_row_blocks()[1:] == (False, "injected mismatch")
-        assert autodiff_mod.CONV_BLOCK_PRODUCT == cap and streams.cpus is cpus
+        assert streams.BLOCK_ELEMENTS == cap and streams.cpus is cpus
         assert sys.getswitchinterval() == interval
 
 

@@ -3,6 +3,7 @@
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from axialrx.autodiff import (
 from axialrx.cli import load_config, receiver_config_from
 from axialrx.complexity import model_report
 from axialrx.layers import (
+    VARIANTS,
     AttentionWeights,
     AxialBlock,
     FeedForward,
@@ -870,4 +872,239 @@ class TestSelftestAttentionCheck:
         assert (ok, detail) == (False, "injected mismatch")
         assert seen == [(cap, cpus() >= 2), (6, True)]
         assert layers_mod.CORE_CHUNK_SCORES == cap and streams.cpus is cpus
+        assert sys.getswitchinterval() == interval
+
+
+def _bits(a: np.ndarray) -> tuple:
+    """Shape and bytes: equal only if bitwise equal, signed zeros included."""
+    return a.shape, a.tobytes()
+
+
+def spy_row_runs(monkeypatch) -> list[tuple[str, int, list[str]]]:
+    """Log (calling thread, units, threads the units ran on) of every
+    `streams.run` call. At the default chunk cap the small calls below run
+    their attention core as one chunk, so every call logged is a run of
+    row blocks."""
+    calls = []
+    original = streams.run
+
+    def spy(units, unit, scratch=lambda: None):
+        caller, ran = threading.current_thread().name, [None] * units
+
+        def named(i, own):
+            ran[i] = threading.current_thread().name
+            return unit(i, own)
+
+        result = original(units, named, scratch)
+        calls.append((caller, units, ran))
+        return result
+
+    monkeypatch.setattr(streams, "run", spy)
+    return calls
+
+
+def spy_row_plans(monkeypatch) -> list[list[tuple[int, int]]]:
+    """Log every plan `attend`, `feed_forward` and `layer_norm` run in."""
+    plans = []
+    original = streams.parallel_row_blocks
+
+    def plan(rows, per_row):
+        plans.append(original(rows, per_row))
+        return plans[-1]
+
+    monkeypatch.setattr(streams, "parallel_row_blocks", plan)
+    return plans
+
+
+def in_row_blocks(monkeypatch, build, cpus: int = 3):
+    """`build()` at a row-block cap of 1, so every block of more than one
+    row has 2 rows, on `cpus` CPUs, with the interpreter switching threads
+    as often as it can."""
+    interval = sys.getswitchinterval()
+    with monkeypatch.context() as m:
+        m.setattr(streams, "BLOCK_ELEMENTS", 1)
+        m.setattr(streams, "cpus", lambda: cpus)
+        sys.setswitchinterval(1e-6)
+        try:
+            return build()
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def row_block_weights(dtype=np.float64) -> SimpleNamespace:
+    """Attention weights with 2 heads, a feed-forward of 8 -> 16 -> 8 and a
+    layer norm, all with non-trivial biases and gains, in `dtype`."""
+    rng = np.random.default_rng(71)
+    parts = SimpleNamespace(w=make_weights(8, 2, seed=70), ffn=FeedForward(8, 16, rng),
+                            ln=LayerNormParams(8))
+    parts.ffn.b1.data, parts.ffn.b2.data = rng.standard_normal(16), rng.standard_normal(8)
+    parts.ln.gamma.data, parts.ln.beta.data = rng.standard_normal(8) + 1.0, rng.standard_normal(8)
+    for leaf in row_leaves(parts):
+        leaf.data = leaf.data.astype(dtype)
+    return parts
+
+
+def row_leaves(parts: SimpleNamespace, operator: str | None = None) -> list[Tensor]:
+    """The parameters `operator` (or, with None, any operator) reads."""
+    ffn, ln, w = parts.ffn, parts.ln, parts.w
+    leaves = {"ffn": [ffn.w1, ffn.b1, ffn.w2, ffn.b2], "layer_norm": [ln.gamma, ln.beta],
+              "attend": [w.wq, w.wk, w.wv, w.wo]}
+    if operator is None:
+        return sum(leaves.values(), [])
+    return leaves.get(operator, leaves["attend"])
+
+
+# Operators through module attributes, so the composed ops can stand in.
+ROW_OPERATORS = {
+    "time": lambda x, parts: axial_time_attention(x, parts.w),
+    "freq": lambda x, parts: axial_freq_attention(x, parts.w),
+    "global": lambda x, parts: global_mhsa(x, parts.w),
+    "ffn": lambda x, parts: layers_mod.feed_forward(x, parts.ffn),
+    "layer_norm": lambda x, parts: layers_mod.layer_norm(x, parts.ln.gamma, parts.ln.beta),
+}
+
+
+class TestRowBlocks:
+    """`attend`'s projections, `feed_forward` and `layer_norm` in blocks of
+    rows on several streams against one block and the composed ops."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["grid", "stack"])
+    @pytest.mark.parametrize("operator", sorted(ROW_OPERATORS))
+    def test_bitwise_equal_to_one_block_and_composed(self, operator, lead, dtype, monkeypatch):
+        """A (3, 5, 8) grid has 15 positions and a stack of 3 has 45: blocks
+        of 2 rows with the last row folded into the block before, (12, 15)
+        or (42, 45). They run on several threads and give the bytes of one
+        block and, grid by grid, of the composed ops."""
+        parts = row_block_weights(dtype)
+        x = np.random.default_rng(74).standard_normal(lead + (3, 5, 8)).astype(dtype)
+        whole = ROW_OPERATORS[operator](Tensor(x), parts).data
+        plans, calls = spy_row_plans(monkeypatch), spy_row_runs(monkeypatch)
+        split = in_row_blocks(monkeypatch, lambda: ROW_OPERATORS[operator](Tensor(x), parts)).data
+        assert split.dtype == dtype and _bits(split) == _bits(whole)
+        rows = 15 * (3 if lead else 1)
+        expected = [(r, r + 2) for r in range(0, rows - 3, 2)] + [(rows - 3, rows)]
+        assert plans == [expected]
+        assert len(calls) == (1 if operator in ("ffn", "layer_norm") else 2)  # or Q/K/V, then O
+        for caller, units, ran in calls:
+            assert units == rows // 2 and ran[0::3] == [caller] * len(ran[0::3])
+            assert len(set(ran)) > 1
+        with monkeypatch.context() as m:
+            m.setattr(layers_mod, "attend", composed_oracle)
+            m.setattr(layers_mod, "feed_forward", composed_feed_forward)
+            m.setattr(layers_mod, "layer_norm", written_out_layer_norm)
+            for got, grid in zip(split.reshape(-1, 3, 5, 8), x.reshape(-1, 3, 5, 8)):
+                ref = ROW_OPERATORS[operator](Tensor(grid), parts).data
+                assert ref.dtype == dtype and _bits(got) == _bits(ref)
+
+    @pytest.mark.parametrize("operator", sorted(ROW_OPERATORS))
+    def test_taped_gradients_bitwise_equal_to_one_block(self, operator, monkeypatch):
+        """Output, gradients, FLOP buckets and tape nodes of 7 row blocks on
+        several streams are those of one block, so FLOPs are charged once
+        and backward is unchanged."""
+        parts = row_block_weights()
+        x = Tensor(np.random.default_rng(75).standard_normal((3, 5, 8)), requires_grad=True)
+        leaves = [x] + row_leaves(parts, operator)
+        upstream = np.random.default_rng(76).standard_normal((3, 5, 8))
+
+        def taped():
+            return taped_bits(lambda: ROW_OPERATORS[operator](x, parts), leaves, upstream)
+
+        calls = spy_row_runs(monkeypatch)
+        split = in_row_blocks(monkeypatch, taped)
+        assert calls and all(units == 7 for _, units, _ in calls)
+        assert split == taped()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_desk_product_of_a_grid_is_one_block(self, variant, monkeypatch):
+        """A desk forward of one grid plans one block for every projection,
+        feed-forward and layer norm, on any CPU count, so desk training
+        never leaves the calling thread for them. A desk axial grid, whose
+        attention cores are one chunk each, starts no run at all."""
+        cfg = receiver_config_from(load_config(None, "desk"), variant=variant)
+        model = Receiver(cfg, seed=0)
+        plans, calls = spy_row_plans(monkeypatch), spy_row_runs(monkeypatch)
+        monkeypatch.setattr(streams, "cpus", lambda: 3)
+        model(random_grid(np.random.default_rng(77), cfg.t, cfg.f, cfg.n_rx))
+        # 3 layer norms, 2 attention calls and a feed-forward per axial
+        # block, 2, 1 and 1 per global block, a layer norm per ResNet unit
+        count = {"axial": 6 * cfg.n_blocks, "global": 4 * cfg.n_blocks,
+                 "cnn-resnet": cfg.resnet_units}[variant]
+        assert plans == [[(0, cfg.t * cfg.f)]] * count
+        if variant == "axial":
+            assert calls == []
+
+    @pytest.mark.parametrize("operator", sorted(ROW_OPERATORS))
+    def test_one_block_inside_an_outer_run_and_on_one_cpu(self, operator, monkeypatch):
+        """Where a run would get one stream, the products run as one block:
+        in each of 2 outer units on 2 streams, and with one CPU. The bytes
+        are those of the split products."""
+        parts = row_block_weights()
+        rng = np.random.default_rng(78)
+        xs = [Tensor(rng.standard_normal((3, 5, 8))) for _ in range(2)]
+        split = [_bits(in_row_blocks(monkeypatch, lambda: ROW_OPERATORS[operator](x, parts)).data)
+                 for x in xs]
+        plans, calls = spy_row_plans(monkeypatch), spy_row_runs(monkeypatch)
+        outer = in_row_blocks(monkeypatch, lambda: streams.run(
+            2, lambda i, _: ROW_OPERATORS[operator](xs[i], parts).data), cpus=2)
+        assert [_bits(a) for a in outer] == split
+        (_, units, ran), = calls  # the outer run alone
+        assert units == 2 and len(set(ran)) == 2
+        assert all(plan == [(0, 15)] for plan in plans) and plans
+        plans.clear()
+        calls.clear()
+        one_cpu = [_bits(in_row_blocks(monkeypatch, lambda: ROW_OPERATORS[operator](x, parts),
+                                       cpus=1).data) for x in xs]
+        assert one_cpu == split
+        assert calls == [] and plans and all(plan == [(0, 15)] for plan in plans)
+
+    def test_plan_folds_a_last_one_row_block(self, monkeypatch):
+        """Every (rows, columns, cap) up to small sizes: the blocks cover the
+        rows in order, one block wherever the whole product fits, and
+        otherwise blocks of as many rows as fit, at least 2, but the last,
+        which takes the row that would be left alone. So no block has one
+        row where the whole product had more."""
+        monkeypatch.setattr(streams, "cpus", lambda: 2)
+        for cap in range(1, 25):
+            monkeypatch.setattr(streams, "BLOCK_ELEMENTS", cap)
+            for rows in range(1, 12):
+                for per_row in range(1, 5):
+                    blocks = streams.parallel_row_blocks(rows, per_row)
+                    starts, ends = zip(*blocks)
+                    assert starts[0] == 0 and ends[-1] == rows
+                    assert list(starts[1:]) == list(ends[:-1])
+                    sizes = [r1 - r0 for r0, r1 in blocks]
+                    n = max(cap // per_row, 2)
+                    if rows * per_row <= cap or rows == 1:
+                        assert blocks == [(0, rows)]
+                    else:
+                        assert set(sizes[:-1]) <= {n} and 2 <= sizes[-1] <= n + 1
+
+
+class TestSelftestRowBlocksCheck:
+    """`selftest.check_row_blocks` runs attention and feed-forward products
+    in 7 row blocks on at least 2 streams and restores the cap, the CPU
+    count and the switch interval."""
+
+    def test_runs_seven_blocks_off_the_calling_thread(self, monkeypatch):
+        cap, interval = streams.BLOCK_ELEMENTS, sys.getswitchinterval()
+        monkeypatch.setattr(streams, "cpus", lambda: 1)  # the check raises it to 2
+        cpus = streams.cpus
+        calls = spy_row_runs(monkeypatch)
+        assert selftest.check_row_blocks()[1]
+        assert calls and all(units == 7 and len(set(ran)) > 1 for _, units, ran in calls)
+        assert streams.BLOCK_ELEMENTS == cap and streams.cpus is cpus
+        assert sys.getswitchinterval() == interval
+
+    def test_restores_the_cap_when_gradcheck_fails(self, monkeypatch):
+        cap, cpus, interval = streams.BLOCK_ELEMENTS, streams.cpus, sys.getswitchinterval()
+        monkeypatch.setattr(streams, "cpus", cpus)  # undone even if not restored
+        monkeypatch.setattr(streams, "BLOCK_ELEMENTS", cap)
+
+        def failing_gradcheck(build_loss, leaves):
+            raise AssertionError("injected mismatch")
+
+        monkeypatch.setattr(selftest, "gradcheck", failing_gradcheck)
+        assert selftest.check_row_blocks()[1:] == (False, "injected mismatch")
+        assert streams.BLOCK_ELEMENTS == cap and streams.cpus is cpus
         assert sys.getswitchinterval() == interval

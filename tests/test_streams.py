@@ -90,3 +90,27 @@ def test_first_error_in_unit_order_once_every_stream_is_done(monkeypatch, raisin
     assert {i for kind, i in done if kind == "start"} == started
     assert {i for kind, i in done if kind == "end"} == started
     assert len(set(streams.run(2, lambda i, _: threading.current_thread().name))) == 2
+
+
+def test_row_blocks_keep_the_cap_and_min_rows(monkeypatch):
+    """A whole product within the cap is one block; otherwise blocks of as
+    many rows as fit, at least `min_rows`, and a shorter last block joins
+    the one before. A `min_rows` of all the rows keeps one block."""
+    monkeypatch.setattr(streams, "BLOCK_ELEMENTS", 12)
+    assert streams.row_blocks(6, 2) == [(0, 6)]
+    assert streams.row_blocks(7, 2) == [(0, 7)]
+    assert streams.row_blocks(7, 2, min_rows=1) == [(0, 6), (6, 7)]
+    assert streams.row_blocks(5, 100) == [(0, 2), (2, 5)]
+    assert streams.row_blocks(5, 100, min_rows=1) == [(r, r + 1) for r in range(5)]
+    assert streams.row_blocks(5, 100, min_rows=5) == [(0, 5)]
+    assert streams.row_blocks(0, 100) == [(0, 0)]
+
+
+def test_parallel_row_blocks_are_one_block_where_a_run_gets_one_stream(monkeypatch):
+    """Split on several CPUs, one block inside a run and on one CPU."""
+    monkeypatch.setattr(streams, "BLOCK_ELEMENTS", 12)
+    monkeypatch.setattr(streams, "cpus", lambda: 3)
+    assert streams.parallel_row_blocks(5, 100) == [(0, 2), (2, 5)]
+    assert streams.run(2, lambda i, _: streams.parallel_row_blocks(5, 100)) == [[(0, 5)]] * 2
+    monkeypatch.setattr(streams, "cpus", lambda: 1)
+    assert streams.parallel_row_blocks(5, 100) == [(0, 5)]
