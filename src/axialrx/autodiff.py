@@ -329,10 +329,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     of the written-out expressions.
 
     Every step works on whole rows, so forward runs in blocks of rows
-    (`streams.parallel_row_blocks`), each writing its own rows of xhat, the
-    output and 1/std: one block in the calling thread, several as the
-    units of one `streams.run`, with the bits of one block. FLOPs are
-    charged once, before any block runs; backward runs in the calling
+    (`streams.parallel_row_blocks`). One block runs the steps on the whole
+    input in the calling thread, allocating their results. Several are the
+    units of one `streams.run`, each running the same steps into its own
+    rows of xhat, the output and 1/std, with the bits of one block. FLOPs
+    are charged once, before any block runs; backward runs in the calling
     thread.
     """
     d = x.shape[-1] if x.ndim else 0
@@ -342,19 +343,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise DimensionError(f"layer_norm affine shapes {gamma.shape}/{beta.shape} != ({d},)")
     flopcount.add(8 * x.size)
     xd, gd, bd = x.data, gamma.data, beta.data
-    rows = x.size // d
-    xhat, y = np.empty_like(xd), np.empty_like(xd)
-    inv_std = np.empty(xd.shape[:-1] + (1,), dtype=xd.dtype)
-    x2, xhat2, y2 = (a.reshape(rows, d) for a in (xd, xhat, y))
-    inv_std2 = inv_std.reshape(rows, 1)
-    blocks = streams.parallel_row_blocks(rows, d)
 
-    def block(i, _):
-        r0, r1 = blocks[i]
-        xr, xh, yr, ir = (a[r0:r1] for a in (x2, xhat2, y2, inv_std2))
-        np.subtract(xr, np.add.reduce(xr, axis=-1, keepdims=True) / d, out=xh)
-        np.multiply(xh, xh, out=yr)
-        np.add.reduce(yr, axis=-1, keepdims=True, out=ir)
+    def forward(xr, xh=None, yr=None, ir=None):
+        xh = np.subtract(xr, np.add.reduce(xr, axis=-1, keepdims=True) / d, out=xh)
+        yr = np.multiply(xh, xh, out=yr)
+        ir = np.add.reduce(yr, axis=-1, keepdims=True, out=ir)
         ir /= d
         ir += LAYER_NORM_EPS
         np.sqrt(ir, out=ir)
@@ -362,11 +355,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         xh *= ir
         np.multiply(xh, gd, out=yr)
         yr += bd
+        return xh, yr, ir
 
+    rows = x.size // d
+    blocks = streams.parallel_row_blocks(rows, d)
     if len(blocks) == 1:
-        block(0, None)
+        xhat, y, inv_std = forward(xd)
     else:
-        streams.run(len(blocks), block)
+        xhat, y = np.empty_like(xd), np.empty_like(xd)
+        inv_std = np.empty(xd.shape[:-1] + (1,), dtype=xd.dtype)
+        parts = [a.reshape(rows, -1) for a in (xd, xhat, y, inv_std)]
+        streams.run(len(blocks), lambda i, _: forward(*(a[slice(*blocks[i])] for a in parts)))
     out = Tensor(y)
     lead = tuple(range(x.ndim - 1))
 

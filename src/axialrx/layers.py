@@ -135,20 +135,20 @@ def bmm(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _products(a: np.ndarray, weights: tuple[np.ndarray, ...],
               blocks: list[tuple[int, int]]) -> list[np.ndarray]:
-    """[a @ m for m in weights] for a (rows, D) `a`. Several blocks are the
-    units of one `streams.run`, each computing every product's rows of its
-    block into the whole products; blocks of 2 or more rows give the bits
-    of the whole product."""
+    """[a @ m for m in weights] for a (rows, D) `a`. One block computes the
+    whole products in the calling thread. Several are the units of one
+    `streams.run`, each computing every product's rows of its block into
+    the whole products; blocks of 2 or more rows give the bits of the whole
+    product."""
+
+    def products(ar, outs=(None,) * len(weights)):
+        return [np.matmul(ar, m, out=out) for m, out in zip(weights, outs)]
+
     if len(blocks) == 1:
-        return [a @ m for m in weights]
+        return products(a)
     outs = [np.empty((a.shape[0], m.shape[1]), dtype=a.dtype) for m in weights]
-
-    def block(i, _):
-        r0, r1 = blocks[i]
-        for m, out in zip(weights, outs):
-            np.matmul(a[r0:r1], m, out=out[r0:r1])
-
-    streams.run(len(blocks), block)
+    streams.run(len(blocks), lambda i, _: products(
+        a[slice(*blocks[i])], [out[slice(*blocks[i])] for out in outs]))
     return outs
 
 
@@ -207,10 +207,11 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     The Q/K/V projections and the wo output projection run in blocks of
     the S*L rows, one plan for all four (rows, D) products
     (`streams.parallel_row_blocks`). One block computes the whole products
-    in the calling thread; several are the units of one `streams.run`,
-    each computing its rows of all three of Q, K and V, then, after the
-    core, its rows of the output. Blocks have 2 or more rows, so they give
-    the bits of the whole products.
+    in the calling thread, allocating them; several are the units of one
+    `streams.run`, each computing its rows of all three of Q, K and V,
+    then, after the core, its rows of the output, with the same calls.
+    Blocks have 2 or more rows, so they give the bits of the whole
+    products.
 
     The steps are the IEEE operations of the composition of `matmul`,
     reshape/transpose head splits, `bmm`, `scale`, `softmax`, `bmm`, the
@@ -400,11 +401,11 @@ def feed_forward(x: Tensor, w: FeedForward) -> Tensor:
     hidden buffer, then adds b2 in place on its output, so it holds one
     hidden-sized buffer where the composition held three. It runs in
     blocks of the n positions, sized by the larger of its two products
-    (`streams.parallel_row_blocks`). One block computes the whole products
-    in the calling thread; several are the units of one `streams.run`,
-    each computing its own rows of the hidden buffer and then of the
-    output. Blocks have 2 or more rows, so they give the bits of the whole
-    products.
+    (`streams.parallel_row_blocks`). One block runs these steps on all n
+    positions in the calling thread, allocating the hidden buffer and the
+    output; several are the units of one `streams.run`, each running the
+    same steps into its own rows of both. Blocks have 2 or more rows, so
+    they give the bits of the whole products.
 
     The steps are the IEEE operations of the composition of reshape,
     `matmul`, `bias_add`, `relu`, `matmul`, `bias_add` and reshape in the
@@ -425,26 +426,21 @@ def feed_forward(x: Tensor, w: FeedForward) -> Tensor:
     n = flat.shape[0]
     flopcount.add(4 * n * d * hidden + 2 * n * hidden + n * d)
     blocks = streams.parallel_row_blocks(n, max(d, hidden))
+
+    def forward(xr, hr=None, yr=None):
+        hr = np.matmul(xr, w1, out=hr)
+        hr += b1
+        np.maximum(hr, 0.0, out=hr)
+        yr = np.matmul(hr, w2, out=yr)
+        yr += b2
+        return hr, yr
+
     if len(blocks) == 1:
-        h = flat @ w1
-        h += b1
-        np.maximum(h, 0.0, out=h)
-        y = h @ w2
-        y += b2
+        h, y = forward(flat)
     else:
-        h = np.empty((n, hidden), dtype=flat.dtype)
-        y = np.empty((n, d), dtype=flat.dtype)
-
-        def block(i, _):
-            r0, r1 = blocks[i]
-            hr, yr = h[r0:r1], y[r0:r1]
-            np.matmul(flat[r0:r1], w1, out=hr)
-            hr += b1
-            np.maximum(hr, 0.0, out=hr)
-            np.matmul(hr, w2, out=yr)
-            yr += b2
-
-        streams.run(len(blocks), block)
+        h, y = np.empty((n, hidden), dtype=flat.dtype), np.empty((n, d), dtype=flat.dtype)
+        streams.run(len(blocks), lambda i, _: forward(
+            *(a[slice(*blocks[i])] for a in (flat, h, y))))
     out = Tensor(y.reshape(x.shape))
     xshape = x.shape
 
