@@ -358,7 +358,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         return xh, yr, ir
 
     rows = x.size // d
-    blocks = streams.parallel_row_blocks(rows, d)
+    blocks = streams.parallel_row_blocks(rows, d, 8 * d)
     if len(blocks) == 1:
         xhat, y, inv_std = forward(xd)
     else:
@@ -398,18 +398,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     one product over the rows of every grid.
 
     The forward runs in blocks of output rows, each block the same rows of
-    every grid of a stack: `streams.row_blocks` with one grid's (rows,
-    padded width, C_out) product per block under its cap, on one stream
-    too, since the cap keeps the reused product buffer in L2. A block of
-    one output row still makes a product of `width` rows, so it may have
-    one row; a grid one padded column wide stays one block. One block,
-    which every desk-dims conv and the paper 1x1 output conv is, runs
-    directly in the calling thread. Several are the units of one
-    `streams.run`, each stream with its own product buffer, and each block
-    adds into its own rows of the bias-initialised output in the unsplit
-    order, so the result is bitwise the same for any block or stream
-    count. FLOPs are charged once, in the calling thread, before any block
-    runs; backward runs in the calling thread.
+    every grid of a stack, planned by `streams.row_blocks`: by its cache
+    rule, one grid's (rows, padded width, C_out) product per block under
+    its cap, on one stream too, since the cap keeps the reused product
+    buffer in L2; and by its work rule, from the 2*k*k*C_in*width*C_out
+    FLOPs per output row of every grid, where a run would get several
+    streams. A block of one output row still makes a product of `width`
+    rows, so it may have one row; a grid one padded column wide stays one
+    block. One block runs directly in the calling thread: at desk dims,
+    every conv on one CPU or inside another run, and the input and 1x1
+    output convs everywhere; at paper dims, the 1x1 output conv. Several
+    are the units of one `streams.run`, each stream with its own product
+    buffer, and each block adds into its own rows of the bias-initialised
+    output in the unsplit order, so the result is bitwise the same for any
+    block or stream count. FLOPs are charged once, in the calling thread,
+    before any block runs; backward runs in the calling thread.
     """
     if x.ndim < 3 or w.ndim != 4:
         raise DimensionError(f"conv2d expects (..., T, F, C) input and 4-D kernel: "
@@ -431,8 +434,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     rows = xp.reshape(lead + (-1, c_in))
     acc = np.tile(b.data, lead + (t, f, 1))
     wd = w.data
-    blocks = streams.row_blocks(t, width * c_out, min_rows=1 if width > 1 else t)
     per_row = math.prod(lead) * width * c_out
+    blocks = streams.row_blocks(t, width * c_out, 2 * k * k * c_in * per_row,
+                                min_rows=1 if width > 1 else t)
 
     def block(i, buf):
         r0, r1 = blocks[i]

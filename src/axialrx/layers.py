@@ -249,7 +249,7 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
 
     x2 = x.data.reshape(s * length, d)
     flopcount.add(3 * 2 * s * length * d * d)
-    projection_blocks = streams.parallel_row_blocks(s * length, d)
+    projection_blocks = streams.parallel_row_blocks(s * length, d, 3 * 2 * d * d)
     qp, kp, vp = _products(x2, (wq.data, wk.data, wv.data), projection_blocks)
     qd, vd = head_view(qp), head_view(vp)
     ktd = np.ascontiguousarray(kp.reshape(s, length, heads, dh).transpose(0, 2, 3, 1))
@@ -425,7 +425,7 @@ def feed_forward(x: Tensor, w: FeedForward) -> Tensor:
     flat = x.data.reshape(-1, d)
     n = flat.shape[0]
     flopcount.add(4 * n * d * hidden + 2 * n * hidden + n * d)
-    blocks = streams.parallel_row_blocks(n, max(d, hidden))
+    blocks = streams.parallel_row_blocks(n, max(d, hidden), 4 * d * hidden)
 
     def forward(xr, hr=None, yr=None):
         hr = np.matmul(xr, w1, out=hr)

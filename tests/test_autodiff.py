@@ -420,22 +420,57 @@ class TestConvRowBlocks:
 
         assert conv_in_row_blocks(monkeypatch, 1, taped) == taped()
 
-    @pytest.mark.parametrize("variant", layers_mod.VARIANTS)
-    def test_every_desk_conv_is_one_block(self, variant, monkeypatch):
-        """A desk forward of one grid and of a 6-grid stack, as evaluation
-        runs it, plans one block for every conv, so desk training and
-        evaluation never run a conv off the calling thread."""
+    @staticmethod
+    def desk_conv_plans(variant, leads, monkeypatch) -> tuple[int, dict, list]:
+        """The desk T and the plans of every conv of desk `variant` forwards,
+        one per lead shape in `leads`: on 1 CPU, on 3 CPUs, and in each unit
+        of a 2-unit run on 3 CPUs (which run one forward each, in either
+        order). Also the output bytes of each case, which must agree."""
         from axialrx.cli import load_config, receiver_config_from
 
         cfg = receiver_config_from(load_config(None, "desk"), variant=variant)
         model = layers_mod.Receiver(cfg, seed=0)
-        plans = spy_conv_plans(monkeypatch)
         rng = np.random.default_rng(63)
-        for lead in ((), (6,)):
-            y = rng.standard_normal(lead + (cfg.t, cfg.f, cfg.n_rx)) + 0j
-            model(SimpleNamespace(y=y, n0=0.1))
-        convs = 2 + (2 * cfg.resnet_units if variant == "cnn-resnet" else 0)
-        assert plans == [[(0, cfg.t)]] * 2 * convs
+        grids = [SimpleNamespace(y=rng.standard_normal(lead + (cfg.t, cfg.f, cfg.n_rx)) + 0j,
+                                 n0=0.1) for lead in leads]
+        plans, seen, outputs = spy_conv_plans(monkeypatch), {}, []
+        for case in (1, 3, "outer run"):
+            cpus = 3 if case == "outer run" else case
+            monkeypatch.setattr(streams, "cpus", lambda: cpus)
+            if case == "outer run":
+                units = streams.run(2, lambda i, _: [_bits(model(g).data) for g in grids])
+                outputs.extend(units)
+            else:
+                outputs.append([_bits(model(g).data) for g in grids])
+            seen[case] = plans[:]
+            plans.clear()
+        return cfg.t, seen, outputs
+
+    @pytest.mark.parametrize("variant", ["axial", "global"])
+    def test_every_desk_conv_is_one_block(self, variant, monkeypatch):
+        """A desk forward of one grid and of a 6-grid stack, as evaluation
+        runs it, plans one block for its input and output convs on 1 and 3
+        CPUs and inside an outer run, so desk axial and global training and
+        evaluation never run a conv off the calling thread."""
+        t, seen, outputs = self.desk_conv_plans(variant, ((), (6,)), monkeypatch)
+        assert seen[1] == seen[3] == [[(0, t)]] * 4
+        assert seen["outer run"] == [[(0, t)]] * 8
+        assert outputs == [outputs[0]] * 4
+
+    def test_desk_cnn_resnet_splits_its_wide_convs_where_a_run_gets_several_streams(
+            self, monkeypatch):
+        """A desk cnn-resnet grid's 20 160-channel 3x3 convs, 168 MFLOP each
+        over 14 rows of 12 MFLOP, take the work rule on 3 CPUs: 3 balanced
+        blocks, each of at least 2 rows for `streams.BLOCK_FLOPS`. On 1 CPU
+        and inside an outer run they stay one block. The 5 -> 32 input conv
+        (1 MFLOP) and the 1x1 output conv stay one block everywhere, and
+        every case gives the same bytes."""
+        t, seen, outputs = self.desk_conv_plans("cnn-resnet", ((),), monkeypatch)
+        one, wide = [(0, t)], [(0, 5), (5, 10), (10, 14)]
+        assert seen[3] == [one] + [wide] * 20 + [one]
+        assert seen[1] == [one] * 22
+        assert seen["outer run"] == [one] * 44
+        assert outputs == [outputs[0]] * 4
 
     def test_conv_inside_an_outer_run_stays_in_its_stream(self, monkeypatch):
         """2 outer units on 2 streams each run a 4-block conv: every block

@@ -908,8 +908,8 @@ def spy_row_plans(monkeypatch) -> list[list[tuple[int, int]]]:
     plans = []
     original = streams.parallel_row_blocks
 
-    def plan(rows, per_row):
-        plans.append(original(rows, per_row))
+    def plan(*args):
+        plans.append(original(*args))
         return plans[-1]
 
     monkeypatch.setattr(streams, "parallel_row_blocks", plan)
@@ -1033,6 +1033,30 @@ class TestRowBlocks:
         assert plans == [[(0, cfg.t * cfg.f)]] * count
         if variant == "axial":
             assert calls == []
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_paper_plan_is_the_cache_plan(self, variant, monkeypatch):
+        """A paper forward of one grid on 2 and on 4 CPUs plans every conv,
+        projection, feed-forward and layer norm as the cache rule alone
+        does: the work rule of `streams.row_blocks` changes no paper plan,
+        so paper-dims forwards keep their blocks."""
+        cfg = receiver_config_from(load_config(None, "paper"), variant=variant)
+        model = Receiver(cfg, seed=0)
+        grid = random_grid(np.random.default_rng(79), cfg.t, cfg.f, cfg.n_rx)
+        original, plans = streams.row_blocks, []
+
+        def plan(rows, per_row, row_flops=0, min_rows=2):
+            plans.append((original(rows, per_row, row_flops, min_rows),
+                          original(rows, per_row, 0, min_rows)))
+            return plans[-1][0]
+
+        monkeypatch.setattr(streams, "row_blocks", plan)
+        for cpus in (2, 4):
+            monkeypatch.setattr(streams, "cpus", lambda: cpus)
+            plans.clear()
+            model(grid)
+            assert plans and all(got == cache for got, cache in plans)
+            assert any(len(got) > 1 for got, _ in plans)
 
     @pytest.mark.parametrize("operator", sorted(ROW_OPERATORS))
     def test_one_block_inside_an_outer_run_and_on_one_cpu(self, operator, monkeypatch):

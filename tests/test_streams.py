@@ -1,4 +1,5 @@
-"""`streams.run`: unit order, one scratch per stream, errors, no nesting."""
+"""`streams.run`: unit order, one scratch per stream, errors, no nesting;
+the row-block plan's cache and work rules."""
 
 import sys
 import threading
@@ -6,6 +7,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axialrx import streams
 
@@ -114,3 +117,49 @@ def test_parallel_row_blocks_are_one_block_where_a_run_gets_one_stream(monkeypat
     assert streams.run(2, lambda i, _: streams.parallel_row_blocks(5, 100)) == [[(0, 5)]] * 2
     monkeypatch.setattr(streams, "cpus", lambda: 1)
     assert streams.parallel_row_blocks(5, 100) == [(0, 5)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.integers(0, 16), per_row=st.integers(1, 6), row_flops=st.integers(0, 8),
+       width=st.integers(1, 3), cap=st.integers(1, 40), floor=st.integers(1, 12),
+       cpus=st.integers(1, 4), conv=st.booleans())
+def test_plan_property(rows, per_row, row_flops, width, cap, floor, cpus, conv):
+    """Small plans of row-wise products (blocks of at least 2 rows) and of
+    convs (`width` product rows per output row, as conv2d plans them),
+    planned outside a run and in each unit of a 2-unit run:
+
+    - the blocks cover the rows in order;
+    - never fewer blocks than the cache-only plan (no row FLOPs), and
+      wherever that plan splits, its blocks;
+    - a work split (other blocks than the cache-only plan's) only where a
+      run would get more than one stream, the whole carries at least 2
+      floors and every block at least one; it makes balanced blocks, as
+      many as fit, at most one per CPU;
+    - no block makes a one-row product where the whole did not, so a conv
+      one padded column wide stays one block."""
+    min_rows = (1 if width > 1 else rows) if conv else 2
+    product_rows = width if conv else 1
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(streams, "BLOCK_ELEMENTS", cap)
+        m.setattr(streams, "BLOCK_FLOPS", floor)
+        m.setattr(streams, "cpus", lambda: cpus)
+        cache = streams.row_blocks(rows, per_row, 0, min_rows)
+        outside = streams.row_blocks(rows, per_row, row_flops, min_rows)
+        inside = streams.run(2, lambda i, _: streams.row_blocks(rows, per_row, row_flops, min_rows))
+    assert inside == [cache] * 2
+    for blocks in (cache, outside):
+        starts, ends = zip(*blocks)
+        assert starts[0] == 0 and ends[-1] == rows and list(starts[1:]) == list(ends[:-1])
+        assert all(r1 > r0 for r0, r1 in blocks) or blocks == [(0, 0)]
+        if rows * product_rows > 1:
+            assert all((r1 - r0) * product_rows > 1 for r0, r1 in blocks)
+    assert len(outside) >= len(cache)
+    if len(cache) > 1 or cpus == 1 or rows * row_flops < 2 * floor:
+        assert outside == cache
+        return
+    n = min(cpus, rows // max(min_rows, -(-floor // row_flops)))
+    sizes = [r1 - r0 for r0, r1 in outside]
+    assert len(outside) == max(n, 1) and max(sizes) - min(sizes) <= 1
+    assert sizes == sorted(sizes, reverse=True)
+    if n > 1:
+        assert all(size * row_flops >= floor for size in sizes)
