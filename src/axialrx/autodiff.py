@@ -329,12 +329,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     of the written-out expressions.
 
     Every step works on whole rows, so forward runs in blocks of rows
-    (`streams.parallel_row_blocks`). One block runs the steps on the whole
-    input in the calling thread, allocating their results. Several are the
-    units of one `streams.run`, each running the same steps into its own
-    rows of xhat, the output and 1/std, with the bits of one block. FLOPs
-    are charged once, before any block runs; backward runs in the calling
-    thread.
+    (`streams.parallel_row_blocks`, given 8*D FLOPs per row). One block
+    runs the steps on the whole input in the calling thread, allocating
+    their results. Several are the units of one `streams.run`, each running
+    the same steps into its own rows of xhat, the output and 1/std, with
+    the bits of one block. FLOPs are charged once, before any block runs;
+    backward runs in the calling thread.
     """
     d = x.shape[-1] if x.ndim else 0
     if d == 0:

@@ -205,7 +205,8 @@ def attend(x: Tensor, w: AttentionWeights) -> Tensor:
     and no tape or counter sees another thread.
 
     The Q/K/V projections and the wo output projection run in blocks of
-    the S*L rows, one plan for all four (rows, D) products
+    the S*L rows, one plan for all four (rows, D) products, given the
+    6*D^2 FLOPs per row of the Q/K/V unit
     (`streams.parallel_row_blocks`). One block computes the whole products
     in the calling thread, allocating them; several are the units of one
     `streams.run`, each computing its rows of all three of Q, K and V,
@@ -401,6 +402,7 @@ def feed_forward(x: Tensor, w: FeedForward) -> Tensor:
     hidden buffer, then adds b2 in place on its output, so it holds one
     hidden-sized buffer where the composition held three. It runs in
     blocks of the n positions, sized by the larger of its two products
+    and given its 4*D*hidden FLOPs per position
     (`streams.parallel_row_blocks`). One block runs these steps on all n
     positions in the calling thread, allocating the hidden buffer and the
     output; several are the units of one `streams.run`, each running the

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from axialrx import streams
@@ -123,6 +123,8 @@ def test_parallel_row_blocks_are_one_block_where_a_run_gets_one_stream(monkeypat
 @given(rows=st.integers(0, 16), per_row=st.integers(1, 6), row_flops=st.integers(0, 8),
        width=st.integers(1, 3), cap=st.integers(1, 40), floor=st.integers(1, 12),
        cpus=st.integers(1, 4), conv=st.booleans())
+@example(rows=5, per_row=1, row_flops=4, width=1, cap=4, floor=9, cpus=2, conv=False)
+@example(rows=4, per_row=1, row_flops=3, width=1, cap=4, floor=8, cpus=2, conv=False)
 def test_plan_property(rows, per_row, row_flops, width, cap, floor, cpus, conv):
     """Small plans of row-wise products (blocks of at least 2 rows) and of
     convs (`width` product rows per output row, as conv2d plans them),
@@ -132,19 +134,23 @@ def test_plan_property(rows, per_row, row_flops, width, cap, floor, cpus, conv):
     - never fewer blocks than the cache-only plan (no row FLOPs), and
       wherever that plan splits, its blocks;
     - a work split (other blocks than the cache-only plan's) only where a
-      run would get more than one stream, the whole carries at least 2
-      floors and every block at least one; it makes balanced blocks, as
-      many as fit, at most one per CPU;
+      run would get more than one stream, and every block of it carries
+      at least the floor; it makes balanced blocks, as many as fit, at
+      most one per CPU;
+    - where the cache rule splits or the whole carries under 2 floors, the
+      plan reads no CPU count;
     - no block makes a one-row product where the whole did not, so a conv
       one padded column wide stays one block."""
     min_rows = (1 if width > 1 else rows) if conv else 2
     product_rows = width if conv else 1
+    reads = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(streams, "BLOCK_ELEMENTS", cap)
         m.setattr(streams, "BLOCK_FLOPS", floor)
-        m.setattr(streams, "cpus", lambda: cpus)
+        m.setattr(streams, "cpus", lambda: reads.append(1) or cpus)
         cache = streams.row_blocks(rows, per_row, 0, min_rows)
         outside = streams.row_blocks(rows, per_row, row_flops, min_rows)
+        read_outside = len(reads)
         inside = streams.run(2, lambda i, _: streams.row_blocks(rows, per_row, row_flops, min_rows))
     assert inside == [cache] * 2
     for blocks in (cache, outside):
@@ -154,12 +160,14 @@ def test_plan_property(rows, per_row, row_flops, width, cap, floor, cpus, conv):
         if rows * product_rows > 1:
             assert all((r1 - r0) * product_rows > 1 for r0, r1 in blocks)
     assert len(outside) >= len(cache)
+    if len(cache) > 1 or rows * row_flops < 2 * floor:
+        assert read_outside == 0
     if len(cache) > 1 or cpus == 1 or rows * row_flops < 2 * floor:
         assert outside == cache
         return
-    n = min(cpus, rows // max(min_rows, -(-floor // row_flops)))
     sizes = [r1 - r0 for r0, r1 in outside]
+    if len(outside) > 1:
+        assert all(size * row_flops >= floor for size in sizes)
+    n = min(cpus, rows // max(min_rows, -(-floor // row_flops)))
     assert len(outside) == max(n, 1) and max(sizes) - min(sizes) <= 1
     assert sizes == sorted(sizes, reverse=True)
-    if n > 1:
-        assert all(size * row_flops >= floor for size in sizes)
